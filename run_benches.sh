@@ -11,8 +11,4 @@ SARN_SNAPSHOT_JSON=bench_out/BENCH_snapshot.json \
 SARN_OBS_JSON=bench_out/BENCH_obs.json \
   ./build/bench/bench_serve_loadgen > bench_out/bench_serve_loadgen.txt 2>&1
 echo "== bench_serve_loadgen done $(date +%T)"
-echo "== bench_train_plan start $(date +%T)"
-SARN_PLAN_JSON=bench_out/BENCH_plan.json \
-  ./build/bench/bench_train_plan > bench_out/bench_train_plan.txt 2>&1
-echo "== bench_train_plan done $(date +%T)"
 echo ALL-DONE

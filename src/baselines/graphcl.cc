@@ -5,7 +5,7 @@
 // target branch tracks the online parameters exactly, which is how the
 // plane expresses GraphCL's parameter-shared encoders) driven by the same
 // ContrastiveTrainer as SARN, so checkpoint/resume, telemetry and the
-// step-plan engine come from one implementation.
+// fused grad path come from one implementation.
 
 #include "baselines/graphcl.h"
 
@@ -46,7 +46,6 @@ GraphClResult TrainGraphCl(const roadnet::RoadNetwork& network,
   options.resume = config.resume;
   options.max_epochs = config.stop_after_epochs;
   options.metrics_sink = config.metrics_sink;
-  options.plan_mode = config.plan_mode;
   options.run_name = "graphcl";
   core::TrainStats stats = model.Train(options);
 

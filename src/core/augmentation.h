@@ -90,9 +90,9 @@ GraphView FullGraphView(const std::vector<roadnet::TopoEdge>& topo_edges,
 
 /// A graph-view generator. MakeView consumes `rng` deterministically: two
 /// calls with the same RNG state produce the same view, which is what resume
-/// and plan-replay bitwise identity rely on. Implementations hold references
-/// to the network (and any precomputed structure) and must not mutate shared
-/// state in MakeView.
+/// bitwise identity relies on. Implementations hold references to the
+/// network (and any precomputed structure) and must not mutate shared state
+/// in MakeView.
 class Augmentation {
  public:
   virtual ~Augmentation() = default;

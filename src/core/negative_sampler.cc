@@ -120,28 +120,6 @@ class SpatialNegativeSampler final : public NegativeSampler {
     queues_->Push(segment, std::move(embedding));
   }
 
-  void ExtendPlanKey(plan::PlanKey& key,
-                     const std::vector<int64_t>& batch) const override {
-    // Mirror ComputeLoss's structural branches with pure queue queries.
-    int64_t phi_max = 0;
-    for (int64_t member : batch) {
-      phi_max = std::max(
-          phi_max, static_cast<int64_t>(queues_->LocalNegatives(member).size()));
-    }
-    key.phi_max = phi_max;
-    std::vector<int> cells = queues_->NonEmptyCells();
-    key.cells = static_cast<int64_t>(cells.size());
-    if (cells.size() >= 2) {
-      std::vector<char> nonempty(static_cast<size_t>(queues_->num_cells()), 0);
-      for (int cell : cells) nonempty[static_cast<size_t>(cell)] = 1;
-      int64_t rows = 0;
-      for (int64_t member : batch) {
-        if (nonempty[static_cast<size_t>(queues_->CellOf(member))] != 0) ++rows;
-      }
-      key.rows = rows;
-    }
-  }
-
   void SaveState(ByteWriter& out) const override { queues_->SaveState(out); }
   bool LoadState(ByteReader& in) override { return queues_->LoadState(in); }
 

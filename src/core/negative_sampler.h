@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "core/negative_queue.h"
 #include "core/sarn_config.h"
-#include "plan/plan.h"
 #include "roadnet/road_network.h"
 #include "tensor/tensor.h"
 
@@ -71,14 +70,6 @@ class NegativeSampler {
   virtual void Push(int64_t segment, std::vector<float> embedding) {
     (void)segment;
     (void)embedding;
-  }
-
-  /// Fills the structural PlanKey fields this policy's loss depends on
-  /// (phi_max / cells / rows for "spatial"). Pure: queries only, no RNG.
-  virtual void ExtendPlanKey(plan::PlanKey& key,
-                             const std::vector<int64_t>& batch) const {
-    (void)key;
-    (void)batch;
   }
 
   /// Negative-state serialization for training checkpoints. Stateless

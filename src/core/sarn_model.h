@@ -18,7 +18,6 @@
 #define SARN_CORE_SARN_MODEL_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "core/negative_sampler.h"
 #include "core/sarn_config.h"
 #include "core/spatial_similarity.h"
-#include "plan/plan.h"
 #include "nn/embedding.h"
 #include "nn/gat.h"
 #include "nn/projection_head.h"
@@ -87,12 +85,6 @@ struct TrainOptions {
   /// RNG or the numerics, so a run with a sink attached is bitwise identical
   /// to one without.
   obs::MetricsSink* metrics_sink = nullptr;
-  /// Step-plan engine mode (DESIGN.md §15): record-once/replay training
-  /// plans with AOT-packed buffer arenas and fused grad kernels. Unset
-  /// defers to the SARN_PLAN environment variable, then off. Every mode is
-  /// bitwise identical to the dynamic tape — losses, gradients, parameters,
-  /// checkpoints and telemetry all match, at any thread count.
-  std::optional<plan::PlanMode> plan_mode;
   /// Run label stamped on every telemetry record ("sarn" for the model's own
   /// training; baseline wrappers pass their own name).
   std::string run_name = "sarn";
@@ -243,16 +235,6 @@ class SarnModel {
   /// normalised). Convenience for policies that never read z'_all.
   tensor::Tensor ComputeLoss(const tensor::Tensor& z, const tensor::Tensor& z_prime,
                              const std::vector<int64_t>& batch, Rng& rng) const;
-
-  /// Everything the structure of one training step depends on, mirroring the
-  /// branch/shape logic of the forward pass and the sampler's loss:
-  /// hyper-parameters and variant names (plus the current LR), per-view edge
-  /// counts, batch size, encoder- and sampler-specific structural state
-  /// (per-relation splits; phi_max, non-empty cells, global-loss rows) and
-  /// thread count. Pure queries — never touches the RNG or the numerics.
-  plan::PlanKey MakeStepPlanKey(const GraphView& view1, const GraphView& view2,
-                                const std::vector<int64_t>& batch,
-                                float learning_rate) const;
 
   const roadnet::RoadNetwork* network_;
   SarnConfig config_;

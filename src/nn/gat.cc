@@ -66,14 +66,13 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   Tensor wx_all = num_heads_ == 1 ? tensor::MatMul(x, weight_[0])
                                   : tensor::MatMul(x, tensor::Concat(weight_, 1));
 
-  // With grad recording off (serving, momentum-encoder passes) the per-edge
-  // gather/scale/scatter chain collapses into fused kernels that skip the
-  // [E, d] intermediates entirely; values stay bitwise identical to the op
-  // path because the fused loops apply the same float operation order.
-  // With grad recording on, the plan executor can request the differentiable
-  // fusions instead (one tape node per chain, bitwise-identical gradients).
+  // The per-edge gather/scale/scatter chain always runs fused. With grad
+  // recording off (serving, momentum-encoder passes) the inference kernels
+  // skip the [E, d] intermediates entirely; with it on, the differentiable
+  // fusions record one tape node per chain. Both apply the float operation
+  // order of the unfused Rows/Add/LeakyRelu and ScaleRows/ScatterAddRows
+  // chain, so values and gradients are bitwise identical to it (ops_test).
   const bool fused_inference = !tensor::GradModeEnabled();
-  const bool fused_grad = !fused_inference && tensor::GradFusionEnabled();
 
   // Footnote-1 ablation: softmax of constant scores = uniform mean over each
   // vertex's incoming edges; identical for every head, so computed once.
@@ -96,27 +95,19 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
         alpha = tensor::EdgeSoftmax(
             tensor::FusedEdgeScores(score_src, score_dst, src, dst, leaky_relu_slope_),
             dst, n);
-      } else if (fused_grad) {
+      } else {
         alpha = tensor::EdgeSoftmax(tensor::FusedEdgeScoreActivate(
                                         score_src, score_dst, src, dst, leaky_relu_slope_),
                                     dst, n);
-      } else {
-        Tensor e = tensor::LeakyRelu(
-            tensor::Add(tensor::Rows(score_dst, dst), tensor::Rows(score_src, src)),
-            leaky_relu_slope_);  // [E, 1]
-        alpha = tensor::EdgeSoftmax(tensor::Reshape(e, {e_count}), dst, n);
       }
     } else {
       alpha = uniform_alpha;
     }
     if (fused_inference) {
       head_outputs.push_back(tensor::FusedGatherScaleScatter(wx, src, dst, alpha, n));
-    } else if (fused_grad) {
-      head_outputs.push_back(
-          tensor::ScaleScatterRows(tensor::Rows(wx, src), alpha, dst, n));
     } else {
-      Tensor messages = tensor::ScaleRows(tensor::Rows(wx, src), alpha);
-      head_outputs.push_back(tensor::ScatterAddRows(messages, dst, n));  // [n, head_dim]
+      head_outputs.push_back(
+          tensor::ScaleScatterRows(tensor::Rows(wx, src), alpha, dst, n));  // [n, head_dim]
     }
   }
 

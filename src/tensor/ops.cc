@@ -287,12 +287,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // output can start uninitialized (no zero-fill pass).
   Storage out = Storage::Uninitialized(static_cast<size_t>(m * n));
   float* od = out.data();
-  // Plan-executor steps (capture and replay run under GradFusionEnabled)
-  // swap in the compiled AVX2 kernels; the dynamic tape stays on the scalar
-  // reference kernels it verifies them against. Both produce identical bits
-  // (DESIGN.md §15), and the choice is latched here on the recording thread
-  // so pool workers executing a row range agree with the plan.
-  const bool compiled = GradFusionEnabled() && kernels::MatMulCompiledAvailable();
+  // The compiled AVX2 kernels run whenever the runtime SIMD tier allows;
+  // scalar-tier hosts stay on the blocked reference kernels. Both produce
+  // identical bits (DESIGN.md §15). The choice is latched here on the
+  // calling thread so pool workers running a row range and the backward
+  // closure agree with the forward.
+  const bool compiled = kernels::MatMulCompiledAvailable();
   // Split so each chunk holds >= ~64k multiply-adds; chunks of kMr rows keep
   // the register tiles full except at a range boundary.
   size_t grain = MatMulRowGrain(k, n);
@@ -875,20 +875,6 @@ Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
   }
   return Tensor::FromStorage({e_count}, std::move(out));
 }
-
-namespace {
-thread_local bool t_grad_fusion = false;
-}  // namespace
-
-bool GradFusionEnabled() { return t_grad_fusion; }
-
-void SetGradFusionEnabled(bool enabled) { t_grad_fusion = enabled; }
-
-GradFusionGuard::GradFusionGuard(bool enabled) : previous_(t_grad_fusion) {
-  t_grad_fusion = enabled;
-}
-
-GradFusionGuard::~GradFusionGuard() { t_grad_fusion = previous_; }
 
 Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
                               const std::vector<int64_t>& src,

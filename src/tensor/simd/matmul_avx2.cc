@@ -1,4 +1,4 @@
-// AVX2 "compiled" matmul kernels for verified step-plan execution
+// AVX2 "compiled" matmul kernels behind tensor::MatMul on AVX2-tier hosts
 // (DESIGN.md §15). Compiled with -mavx2 and -ffp-contract=off, like
 // simd_avx2.cc: mul+add must stay two IEEE operations so every element
 // reproduces the scalar blocked kernels bit for bit.

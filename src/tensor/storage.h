@@ -71,36 +71,6 @@ struct StorageBlock {
 void IncrementTapeNodeCount();
 uint64_t TapeNodeCount();
 
-/// Sentinel size_class for blocks carved out of a plan executor arena
-/// (src/plan/). Such blocks are owned by the arena, not the pool:
-/// BufferPool::Release on the last reference only signals the arena's
-/// release counter (stashed in `next`) and never touches a free list.
-/// Their exact payload capacity lives in `oversize_bytes`, like oversize
-/// blocks.
-inline constexpr uint32_t kArenaSizeClass = 26;  // kNumClasses(25) + 1.
-
-/// Thread-local allocation interposition for the step-plan recorder and
-/// executor (src/plan/). All callbacks are optional; a null hooks pointer
-/// (the default) keeps the pool hot path unchanged apart from one
-/// thread-local load.
-struct AllocHooks {
-  /// Offered every Acquire first. Returning a block (refs already 1) serves
-  /// the acquisition without touching the pool; returning nullptr falls
-  /// through to the normal pool path.
-  StorageBlock* (*acquire)(void* ctx, size_t bytes) = nullptr;
-  /// Observes every pool-path acquisition (after `acquire` declined).
-  void (*on_acquire)(void* ctx, StorageBlock* block, size_t bytes) = nullptr;
-  /// Observes a pool block's refcount reaching zero, before it is recycled.
-  /// Not called for arena blocks (their release is counted on the arena).
-  void (*on_release)(void* ctx, StorageBlock* block) = nullptr;
-  void* ctx = nullptr;
-};
-
-/// Installs `hooks` for the calling thread (nullptr uninstalls). The pointer
-/// must stay valid until uninstalled.
-void SetThreadAllocHooks(AllocHooks* hooks);
-AllocHooks* ThreadAllocHooks();
-
 }  // namespace internal
 
 /// Point-in-time allocator statistics (process-wide).
@@ -131,11 +101,6 @@ class BufferPool {
   /// Payload capacity in bytes of the block's size class.
   static size_t ClassBytes(uint32_t size_class);
 
-  /// Smallest class whose capacity covers `bytes`; kOversizeClass when none
-  /// does. Exposed so the plan executor can verify a replayed acquisition
-  /// lands in the recorded class before serving it from an arena.
-  static uint32_t SizeClassFor(size_t bytes);
-
   static constexpr size_t kMinClassBytes = 64;
   static constexpr uint32_t kNumClasses = 25;  // 64 B .. 1 GiB.
   static constexpr uint32_t kOversizeClass = kNumClasses;
@@ -151,6 +116,10 @@ class BufferPool {
   friend class StepScope;
 
   static constexpr uint32_t kMaxThreadCachePerClass = 128;
+
+  /// Smallest class whose capacity covers `bytes`; kOversizeClass when none
+  /// does.
+  static uint32_t SizeClassFor(size_t bytes);
 
   struct ThreadCache;
   /// The calling thread's cache, or nullptr once thread-local destructors

@@ -171,19 +171,10 @@ struct BackwardScratch {
 
 thread_local BackwardScratch t_backward_scratch;
 
-thread_local internal::TapeHooks* t_tape_hooks = nullptr;
-
-}  // namespace
-
-namespace internal {
-
-void SetThreadTapeHooks(TapeHooks* hooks) { t_tape_hooks = hooks; }
-
-TapeHooks* ThreadTapeHooks() { return t_tape_hooks; }
-
+/// Next backward pass id for this thread's visit_mark stamping.
 uint64_t NextBackwardPass() { return ++t_backward_scratch.pass_id; }
 
-}  // namespace internal
+}  // namespace
 
 const char* BackwardStatusName(Tensor::BackwardStatus status) {
   switch (status) {
@@ -203,17 +194,11 @@ Tensor::BackwardStatus Tensor::Backward(const std::vector<float>& seed_grad) {
   if (static_cast<int64_t>(seed_grad.size()) != numel()) {
     return BackwardStatus::kSeedSizeMismatch;
   }
-  if (internal::TapeHooks* hooks = t_tape_hooks;
-      hooks != nullptr && hooks->backward != nullptr) {
-    if (hooks->backward(hooks->ctx, impl_, seed_grad.data(), seed_grad.size())) {
-      return BackwardStatus::kOk;  // Recorded/replayed by the plan layer.
-    }
-  }
   // Topological order over the tape (iterative DFS to survive deep graphs,
   // e.g., unrolled GRUs over 180-step trajectories). Visited state is a pass
   // id stamped on each node, so no per-call hash set is built.
   BackwardScratch& scratch = t_backward_scratch;
-  uint64_t pass = ++scratch.pass_id;
+  uint64_t pass = NextBackwardPass();
   auto& order = scratch.order;
   auto& stack = scratch.stack;
   order.clear();
@@ -326,10 +311,6 @@ Tensor MakeOpResultImpl(Shape shape, Storage data, const Tensor* inputs,
       }
       impl->backward = std::move(backward);
       internal::IncrementTapeNodeCount();
-      if (internal::TapeHooks* hooks = t_tape_hooks;
-          hooks != nullptr && hooks->on_node != nullptr) {
-        hooks->on_node(hooks->ctx, impl);
-      }
     }
   }
   return Tensor::FromImpl(impl);

@@ -63,32 +63,6 @@ struct TensorImpl {
   }
 };
 
-class Tensor;  // below
-
-/// Thread-local tape interposition for the step-plan recorder and executor
-/// (src/plan/). Null (the default) keeps the dynamic tape untouched.
-struct TapeHooks {
-  /// Observes every tape node the thread records (MakeOpResult with grad
-  /// mode on and a grad-requiring input).
-  void (*on_node)(void* ctx, const std::shared_ptr<TensorImpl>& node) = nullptr;
-  /// Offered the whole backward pass after the seed has been validated.
-  /// Returning true means the hook executed (or replayed) the pass itself;
-  /// false falls through to the dynamic DFS path.
-  bool (*backward)(void* ctx, const std::shared_ptr<TensorImpl>& root,
-                   const float* seed, size_t seed_size) = nullptr;
-  void* ctx = nullptr;
-};
-
-/// Installs `hooks` for the calling thread (nullptr uninstalls). The pointer
-/// must stay valid until uninstalled.
-void SetThreadTapeHooks(TapeHooks* hooks);
-TapeHooks* ThreadTapeHooks();
-
-/// Next backward pass id for this thread's visit_mark stamping. Shared
-/// between the dynamic DFS and the plan recorder's topo sort so their marks
-/// never collide.
-uint64_t NextBackwardPass();
-
 }  // namespace internal
 
 /// True while gradients are being recorded on this thread (default true).

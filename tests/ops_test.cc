@@ -8,6 +8,7 @@
 
 #include "common/parallel.h"
 #include "tensor/matmul_kernels.h"
+#include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 
 namespace sarn::tensor {
@@ -181,7 +182,7 @@ TEST_P(MatMulKernelEquivalence, GradBMatchesNaive) {
 }
 
 #if defined(SARN_HAVE_AVX2_KERNELS)
-// Compiled (plan-executor) AVX2 kernels: vector lanes are distinct output
+// Compiled AVX2 kernels: vector lanes are distinct output
 // elements, so they must match the scalar blocked kernels bit for bit —
 // including on inputs with exact zeros (post-ReLU activations) and on
 // shapes with sub-tile remainders.
@@ -305,6 +306,122 @@ TEST(OpsTest, MatMulIdenticalAcrossThreadCounts) {
   for (int64_t i = 0; i < m * n; ++i) {
     EXPECT_EQ(serial.data()[i], parallel.data()[i]) << "index " << i;
   }
+}
+
+// Restores the active SIMD tier on scope exit.
+class TierGuard {
+ public:
+  TierGuard() : previous_(simd::ActiveTier()) {}
+  ~TierGuard() { simd::ForceTier(previous_); }
+
+ private:
+  simd::Tier previous_;
+};
+
+std::vector<float> ToVector(const Storage& storage) {
+  return {storage.begin(), storage.end()};
+}
+
+void ExpectBitwiseEqual(const std::vector<float>& actual,
+                        const std::vector<float>& expected, const char* what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << what << " index " << i;
+  }
+}
+
+TEST(OpsTest, MatMulDefaultTierMatchesScalarTierThroughAutograd) {
+  // MatMul runs the compiled AVX2 kernels whenever the active tier is AVX2
+  // and the scalar blocked kernels otherwise. Forward and both gradients
+  // must not depend on which one ran. Shapes leave sub-tile remainders.
+  TierGuard restore;
+  struct Result {
+    std::vector<float> y, da, db;
+  };
+  auto run = [] {
+    Rng rng(5);
+    Tensor a = Tensor::Randn({21, 34}, rng, 0.2f).RequiresGrad();
+    Tensor b = Tensor::Randn({34, 29}, rng, 0.2f).RequiresGrad();
+    Tensor y = MatMul(a, b);
+    Tensor loss = Mean(Square(LeakyRelu(y)));
+    EXPECT_EQ(loss.Backward(), Tensor::BackwardStatus::kOk);
+    return Result{ToVector(y.data()), ToVector(a.grad()), ToVector(b.grad())};
+  };
+  Result by_default = run();
+  simd::ForceTier(simd::Tier::kScalar);
+  Result scalar = run();
+  ExpectBitwiseEqual(by_default.y, scalar.y, "forward");
+  ExpectBitwiseEqual(by_default.da, scalar.da, "dA");
+  ExpectBitwiseEqual(by_default.db, scalar.db, "dB");
+}
+
+// The GAT grad path runs the fused differentiable ops; the unfused op chains
+// they replace are the oracle. Vertex 3 has no in-edges and the edge (1, 2)
+// appears twice, so the scatter order over repeated destinations and the
+// zero rows of an isolated vertex are both covered.
+const std::vector<int64_t> kOracleSrc = {0, 1, 1, 2, 4, 0, 1, 4};
+const std::vector<int64_t> kOracleDst = {1, 2, 2, 0, 0, 4, 4, 1};
+constexpr int64_t kOracleVertices = 5;
+
+TEST(OpsTest, FusedEdgeScoreActivateMatchesUnfusedChainBitwise) {
+  const int64_t e_count = static_cast<int64_t>(kOracleSrc.size());
+  Rng rng(17);
+  Tensor src_init = Tensor::Randn({kOracleVertices, 1}, rng);
+  Tensor dst_init = Tensor::Randn({kOracleVertices, 1}, rng);
+  Tensor seed = Tensor::Randn({e_count}, rng);
+  std::vector<float> seed_grad = ToVector(seed.data());
+  struct Result {
+    std::vector<float> out, d_src, d_dst;
+  };
+  auto run = [&](bool fused) {
+    Tensor score_src = src_init.Detach().RequiresGrad();
+    Tensor score_dst = dst_init.Detach().RequiresGrad();
+    Tensor out =
+        fused ? FusedEdgeScoreActivate(score_src, score_dst, kOracleSrc, kOracleDst, 0.2f)
+              : Reshape(LeakyRelu(Add(Rows(score_dst, kOracleDst),
+                                      Rows(score_src, kOracleSrc)),
+                                  0.2f),
+                        {e_count});
+    EXPECT_EQ(out.Backward(seed_grad), Tensor::BackwardStatus::kOk);
+    return Result{ToVector(out.data()),
+                  ToVector(score_src.grad()),
+                  ToVector(score_dst.grad())};
+  };
+  Result oracle = run(false);
+  Result fused = run(true);
+  ExpectBitwiseEqual(fused.out, oracle.out, "scores");
+  ExpectBitwiseEqual(fused.d_src, oracle.d_src, "d score_src");
+  ExpectBitwiseEqual(fused.d_dst, oracle.d_dst, "d score_dst");
+}
+
+TEST(OpsTest, ScaleScatterRowsMatchesUnfusedChainBitwise) {
+  const int64_t e_count = static_cast<int64_t>(kOracleSrc.size());
+  const int64_t d = 6;
+  Rng rng(29);
+  Tensor wx_init = Tensor::Randn({kOracleVertices, d}, rng);
+  Tensor alpha_init = Tensor::Randn({e_count}, rng);
+  Tensor seed = Tensor::Randn({kOracleVertices, d}, rng);
+  std::vector<float> seed_grad = ToVector(seed.data());
+  struct Result {
+    std::vector<float> out, d_wx, d_alpha;
+  };
+  auto run = [&](bool fused) {
+    Tensor wx = wx_init.Detach().RequiresGrad();
+    Tensor alpha = alpha_init.Detach().RequiresGrad();
+    Tensor rows = Rows(wx, kOracleSrc);
+    Tensor out = fused ? ScaleScatterRows(rows, alpha, kOracleDst, kOracleVertices)
+                       : ScatterAddRows(ScaleRows(rows, alpha), kOracleDst,
+                                        kOracleVertices);
+    EXPECT_EQ(out.Backward(seed_grad), Tensor::BackwardStatus::kOk);
+    return Result{ToVector(out.data()), ToVector(wx.grad()), ToVector(alpha.grad())};
+  };
+  Result oracle = run(false);
+  Result fused = run(true);
+  ExpectBitwiseEqual(fused.out, oracle.out, "messages");
+  ExpectBitwiseEqual(fused.d_wx, oracle.d_wx, "d wx");
+  ExpectBitwiseEqual(fused.d_alpha, oracle.d_alpha, "d alpha");
+  // The isolated vertex receives nothing.
+  for (int64_t j = 0; j < d; ++j) EXPECT_EQ(fused.out[3 * d + j], 0.0f);
 }
 
 TEST(OpsDeathTest, MatMulShapeMismatch) {

@@ -21,6 +21,24 @@ run_step(${SARN_CLI} eval --network ${WORK_DIR}/net.csv
 # Chrome trace as one JSON document.
 run_step(${SARN_CLI} check-json --in ${WORK_DIR}/metrics.jsonl --lines true)
 run_step(${SARN_CLI} check-json --in ${WORK_DIR}/trace.json)
+# Bad sizes are usage errors: exit 1 with a message naming the flag, never a
+# SARN_CHECK abort (exit 134).
+function(expect_train_usage_error flag)
+  execute_process(COMMAND ${SARN_CLI} train --network ${WORK_DIR}/net.csv ${ARGN}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "train ${ARGN}: expected exit 1, got ${code}\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "${flag}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "train ${ARGN}: message does not name ${flag}: ${err}")
+  endif()
+endfunction()
+expect_train_usage_error(--epochs --epochs 0 --dim 16)
+expect_train_usage_error(--epochs --epochs -3 --dim 16)
+expect_train_usage_error(--dim --epochs 1 --dim 0)
+expect_train_usage_error(--dim --epochs 1 --dim 0 --encoder rfn)
+expect_train_usage_error(--dim --epochs 1 --dim 3)
 foreach(artifact net.csv model.ckpt emb.csv atlas.geojson metrics.jsonl trace.json)
   if(NOT EXISTS ${WORK_DIR}/${artifact})
     message(FATAL_ERROR "missing artifact ${artifact}")

@@ -51,7 +51,6 @@
 #include "obs/prom_export.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
-#include "plan/plan.h"
 #include "roadnet/geojson.h"
 #include "roadnet/io.h"
 #include "roadnet/osm_import.h"
@@ -182,7 +181,8 @@ struct VariantArgs {
   }
 
   /// Writes the non-empty names into `config`; returns an error string for
-  /// unknown names, listing the registered set.
+  /// unknown names, listing the registered set, or for a --dim (already in
+  /// config.hidden_dim) the resolved encoder cannot be built with.
   std::optional<std::string> Apply(core::SarnConfig& config) const {
     const core::VariantRegistry& registry = core::VariantRegistry::Instance();
     if (!encoder.empty()) {
@@ -205,6 +205,12 @@ struct VariantArgs {
                "\" (registered: " + JoinNames(registry.SamplerNames()) + ")";
       }
       config.negatives = negatives;
+    }
+    if (core::ResolvedVariantTag(config).encoder == "gat" &&
+        config.hidden_dim % config.gat_heads != 0) {
+      return "--dim " + std::to_string(config.hidden_dim) +
+             " must be divisible by the gat encoder's " +
+             std::to_string(config.gat_heads) + " attention heads";
     }
     return std::nullopt;
   }
@@ -277,7 +283,6 @@ struct TrainArgs {
   VariantArgs variant;         // --encoder / --augmentation / --negatives.
   std::string metrics_file;
   std::string trace_file;
-  std::string plan;  // "" defers to the SARN_PLAN environment variable.
   FlagBindings Bindings() {
     FlagBindings b;
     b.String("network", &network, "network CSV", /*required=*/true)
@@ -295,15 +300,14 @@ struct TrainArgs {
         .Int("stop-after", &options.max_epochs,
              "stop once this many total epochs are done")
         .String("metrics-file", &metrics_file, "append one JSON line per epoch here")
-        .String("trace-file", &trace_file, "write a Chrome trace of training phases")
-        .String("plan", &plan,
-                "step-plan engine: off, record or replay (default: the "
-                "SARN_PLAN env var, else off; bitwise identical either way)");
+        .String("trace-file", &trace_file, "write a Chrome trace of training phases");
     return b;
   }
 };
 
 int CmdTrain(const TrainArgs& args) {
+  if (args.epochs < 1) return Fail("train: --epochs must be at least 1");
+  if (args.dim < 1) return Fail("train: --dim must be at least 1");
   auto network = roadnet::LoadRoadNetworkCsv(args.network);
   if (!network.has_value()) return Fail("train: cannot load " + args.network);
 
@@ -318,13 +322,6 @@ int CmdTrain(const TrainArgs& args) {
   core::FitCellSideToNetwork(config, *network);
 
   core::TrainOptions options = args.options;
-  if (!args.plan.empty()) {
-    std::optional<plan::PlanMode> mode = plan::ParsePlanMode(args.plan);
-    if (!mode.has_value()) {
-      return Fail("train: --plan must be off, record or replay");
-    }
-    options.plan_mode = mode;
-  }
 
   std::unique_ptr<obs::JsonlMetricsSink> sink;
   const std::string& metrics_file = args.metrics_file;
