@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
+#include "tensor/storage.h"
 
 namespace sarn::core {
 namespace {
@@ -61,6 +62,32 @@ struct EpochPhases {
             {"online_forward", online_forward}, {"loss", loss},
             {"backward", backward},           {"optimizer_step", optimizer_step},
             {"queue_push", queue_push},       {"checkpoint_write", checkpoint_write}};
+  }
+};
+
+// Sums of one branch's receptive-field sizes over an epoch's batches.
+struct HaloSums {
+  std::vector<double> rows;   // Per depth R_0 .. R_L.
+  std::vector<double> edges;  // Per layer.
+
+  void Add(const ReceptiveField& field) {
+    rows.resize(static_cast<size_t>(field.num_layers()) + 1, 0.0);
+    edges.resize(static_cast<size_t>(field.num_layers()), 0.0);
+    for (int d = 0; d <= field.num_layers(); ++d) {
+      rows[static_cast<size_t>(d)] += static_cast<double>(field.rows(d));
+    }
+    for (int l = 0; l < field.num_layers(); ++l) {
+      edges[static_cast<size_t>(l)] += static_cast<double>(field.edges(l));
+    }
+  }
+
+  obs::EpochRecord::HaloBranch Mean(const char* name, int batches) const {
+    obs::EpochRecord::HaloBranch branch;
+    branch.name = name;
+    const double scale = 1.0 / std::max(1, batches);
+    for (double sum : rows) branch.rows.push_back(sum * scale);
+    for (double sum : edges) branch.edges.push_back(sum * scale);
+    return branch;
   }
 };
 
@@ -161,6 +188,8 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
     Timer epoch_timer;
     EpochPhases phases;
     ParallelPoolStats pool_before = GetParallelPoolStats();
+    const uint64_t misses_before = tensor::BufferPool::Instance().Stats().misses;
+    HaloSums online_halo, target_halo;
     double grad_norm_sum = 0.0;
 
     schedule.OnEpoch(optimizer, epoch);
@@ -171,6 +200,8 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
       view1 = augmentation.MakeView(rng);
       view2 = augmentation.MakeView(rng);
     }
+    model_->BindField(view1, &online_field_);
+    model_->BindField(view2, &target_field_);
     // Reshuffle from the identity so the batch order is a pure function of
     // the RNG state — which is checkpointed — rather than of the cumulative
     // permutation history, which is not. Statistically equivalent (a uniform
@@ -190,30 +221,40 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
       int64_t end = std::min<int64_t>(n, begin + config.batch_size);
       std::vector<int64_t> batch(order.begin() + begin, order.begin() + end);
 
-      // Target branch first (fills z' and, later, the sampler state). The
-      // all-vertex projection buffer is released at scope end unless the
-      // sampler's loss reads it — keeping the default allocation stream
-      // identical to a trainer without the handle.
+      // Both branches run only on the rows the loss can reach: the batch's
+      // receptive field in each view (DESIGN.md §17). A sampler whose loss
+      // reads every vertex's target projection gets the all-rows field on
+      // the target branch instead.
+
+      // Target branch first (fills z' and, later, the sampler state).
       Tensor z_prime_batch;
       Tensor z_prime_all_kept;
       {
         SARN_TRACE_SPAN("target_forward");
         obs::ScopedPhaseTimer phase(&phases.target_forward);
         tensor::NoGradGuard guard;
-        Tensor z_prime_all = model_->TargetProject(view2);
-        z_prime_batch = tensor::Rows(z_prime_all, batch);
-        if (keep_all_projections) z_prime_all_kept = z_prime_all;
+        if (keep_all_projections) {
+          target_field_.SelectAll();
+        } else {
+          target_field_.Restrict(batch);
+        }
+        Tensor z_prime = model_->TargetProject(target_field_);
+        z_prime_batch = tensor::Rows(z_prime, target_field_.BatchRows(batch));
+        if (keep_all_projections) z_prime_all_kept = z_prime;
       }
+      target_halo.Add(target_field_);
 
       // Online branch.
       Tensor z_batch;
       {
         SARN_TRACE_SPAN("online_forward");
         obs::ScopedPhaseTimer phase(&phases.online_forward);
-        Tensor h = model_->OnlineEncode(view1);
-        Tensor z_all = tensor::RowL2Normalize(model_->online_head_->Forward(h));
-        z_batch = tensor::Rows(z_all, batch);
+        online_field_.Restrict(batch);
+        Tensor h = model_->OnlineEncode(online_field_);
+        Tensor z = tensor::RowL2Normalize(model_->online_head_->Forward(h));
+        z_batch = tensor::Rows(z, online_field_.BatchRows(batch));
       }
+      online_halo.Add(online_field_);
 
       Tensor loss;
       {
@@ -359,6 +400,11 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
       record.pool_items = pool_after.items - pool_before.items;
       record.pool_idle_seconds =
           pool_after.worker_idle_seconds - pool_before.worker_idle_seconds;
+      record.pool_misses =
+          tensor::BufferPool::Instance().Stats().misses - misses_before;
+      record.halo_vertices = n;
+      record.halo = {online_halo.Mean("online", batches),
+                     target_halo.Mean("target", batches)};
       options.metrics_sink->OnEpoch(record);
     }
     if (stopping) break;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/receptive_field.h"
 #include "nn/serialization.h"
 #include "tensor/optimizer.h"
 
@@ -60,6 +61,10 @@ class ContrastiveTrainer {
                        Progress& progress, std::string* detail);
 
   SarnModel* model_;
+  /// Per-view receptive fields (online view, target view): rebound each
+  /// epoch and restricted each batch, reusing their index buffers.
+  ReceptiveField online_field_;
+  ReceptiveField target_field_;
 };
 
 }  // namespace sarn::core

@@ -18,8 +18,9 @@ class GatPlaneEncoder final : public Encoder {
 
   const char* name() const override { return "gat"; }
 
-  Tensor Forward(const Tensor& x, const GraphView& view) const override {
-    return gat_.Forward(x, view.edges);
+  Tensor Forward(const Tensor& x,
+                 std::span<const nn::LayerGraph> layers) const override {
+    return gat_.Forward(x, layers);
   }
 
   std::vector<Tensor> Parameters() const override { return gat_.Parameters(); }
@@ -42,8 +43,9 @@ class RfnPlaneEncoder final : public Encoder {
 
   const char* name() const override { return "rfn"; }
 
-  Tensor Forward(const Tensor& x, const GraphView& view) const override {
-    return rfn_.Forward(x, view.topo_edges, view.spatial_edges);
+  Tensor Forward(const Tensor& x,
+                 std::span<const nn::LayerGraph> layers) const override {
+    return rfn_.Forward(x, layers);
   }
 
   std::vector<Tensor> Parameters() const override { return rfn_.Parameters(); }

@@ -1,8 +1,10 @@
 // The pluggable graph-encoder interface of the contrastive plane
 // (DESIGN.md §16).
 //
-// An Encoder maps embedded segment features [n, d_f] plus one graph view to
-// per-segment representations [n, d]. It is momentum-pair aware by
+// An Encoder maps embedded segment features plus one graph view, sliced
+// into one nn::LayerGraph per layer (core/receptive_field.h), to per-segment
+// representations: layer l maps input rows R_l to output rows R_{l+1}, and
+// the all-rows slicing is the full-graph encoder. It is momentum-pair aware by
 // construction: SarnModel builds two identically-architected instances (the
 // trainable online encoder and the momentum target), aligns them with
 // CopyWeightsFrom, and drives the MoCo update over their Parameters() lists
@@ -19,11 +21,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/augmentation.h"
 #include "core/sarn_config.h"
+#include "nn/gat.h"
 #include "nn/module.h"
 #include "tensor/tensor.h"
 
@@ -33,10 +36,13 @@ class Encoder : public nn::Module {
  public:
   virtual const char* name() const = 0;
 
-  /// x: [n, d_f] embedded features of the view (already masked if the view
-  /// masks attributes); returns [n, out_dim()].
+  /// x: [layers[0].num_in, d_f] embedded features of the input rows
+  /// (already masked if the view masks attributes); one LayerGraph per
+  /// encoder layer; returns [layers.back().num_out, out_dim()]. Must give
+  /// every output row the bits the all-rows forward gives it, and every
+  /// parameter the gradient bits it gives (DESIGN.md §17).
   virtual tensor::Tensor Forward(const tensor::Tensor& x,
-                                 const GraphView& view) const = 0;
+                                 std::span<const nn::LayerGraph> layers) const = 0;
 
   /// Parameters of the final layer only (SARN* fine-tunes just this layer).
   virtual std::vector<tensor::Tensor> FinalLayerParameters() const = 0;

@@ -94,19 +94,26 @@ SarnModel::SarnModel(const roadnet::RoadNetwork& network, SarnConfig config)
   sampler_ = registry.MakeSampler(variant_tag_.negatives, context);
 }
 
-Tensor SarnModel::OnlineEncode(const GraphView& view) const {
-  Tensor x = view.masked_ids.empty()
-                 ? feature_embedding_->Forward(features_.ids)
-                 : feature_embedding_->Forward(view.masked_ids);
-  return online_encoder_->Forward(x, view);
+void SarnModel::BindField(const GraphView& view, ReceptiveField* field) const {
+  field->Bind(view, view.masked_ids.empty() ? features_.ids : view.masked_ids,
+              network_->num_segments(), config_.gat_layers);
 }
 
-Tensor SarnModel::TargetProject(const GraphView& view) const {
-  Tensor x = view.masked_ids.empty()
-                 ? feature_embedding_->Forward(features_.ids)
-                 : feature_embedding_->Forward(view.masked_ids);
-  Tensor h = target_encoder_->Forward(x, view);
+Tensor SarnModel::OnlineEncode(const ReceptiveField& field) const {
+  Tensor x = feature_embedding_->Forward(field.input_ids());
+  return online_encoder_->Forward(x, field.layers());
+}
+
+Tensor SarnModel::TargetProject(const ReceptiveField& field) const {
+  Tensor x = feature_embedding_->Forward(field.input_ids());
+  Tensor h = target_encoder_->Forward(x, field.layers());
   return tensor::RowL2Normalize(target_head_->Forward(h));
+}
+
+Tensor SarnModel::EncodeFullGraph() const {
+  ReceptiveField field;
+  BindField(full_view_, &field);
+  return OnlineEncode(field);
 }
 
 Tensor SarnModel::ComputeLoss(const Tensor& z, const Tensor& z_prime,
@@ -129,10 +136,10 @@ std::vector<Tensor> SarnModel::TargetParameters() const {
 
 Tensor SarnModel::Embeddings() const {
   tensor::NoGradGuard guard;
-  return OnlineEncode(full_view_);
+  return EncodeFullGraph();
 }
 
-Tensor SarnModel::EncodeForFineTune() const { return OnlineEncode(full_view_); }
+Tensor SarnModel::EncodeForFineTune() const { return EncodeFullGraph(); }
 
 std::vector<Tensor> SarnModel::FineTuneParameters() const {
   return online_encoder_->FinalLayerParameters();

@@ -25,6 +25,7 @@
 #include "core/checkpoint_tags.h"
 #include "core/encoder.h"
 #include "core/negative_sampler.h"
+#include "core/receptive_field.h"
 #include "core/sarn_config.h"
 #include "core/spatial_similarity.h"
 #include "nn/embedding.h"
@@ -222,12 +223,18 @@ class SarnModel {
   /// Momentum-branch parameters (target encoder + target head).
   std::vector<tensor::Tensor> TargetParameters() const;
 
-  /// Full online forward on one graph view: feature embedding (honouring the
-  /// view's attribute mask, if any) -> encoder -> [n, d].
-  tensor::Tensor OnlineEncode(const GraphView& view) const;
+  /// Binds `field` to `view` with this model's input ids (the view's
+  /// attribute mask, if any) and encoder depth; starts in the all-rows case.
+  void BindField(const GraphView& view, ReceptiveField* field) const;
+
+  /// Online forward over a bound field: feature embedding of the input rows
+  /// -> encoder -> [field.rows(L), d].
+  tensor::Tensor OnlineEncode(const ReceptiveField& field) const;
   /// Target branch forward (call under NoGradGuard), through the projection
-  /// head: [n, d_z], L2-normalised.
-  tensor::Tensor TargetProject(const GraphView& view) const;
+  /// head: [field.rows(L), d_z], L2-normalised.
+  tensor::Tensor TargetProject(const ReceptiveField& field) const;
+  /// OnlineEncode over all rows of the uncorrupted graph.
+  tensor::Tensor EncodeFullGraph() const;
 
   /// Contrastive loss of one minibatch, delegated to the negative sampler.
   /// `z` is the online projection rows of the batch (normalised,

@@ -46,8 +46,32 @@ GatLayer::GatLayer(int64_t in_dim, int64_t head_dim, int num_heads, bool concat_
   }
 }
 
+namespace {
+
+LayerEdges AllRowsEdges(const EdgeList* list) {
+  LayerEdges edges;
+  if (list == nullptr) return edges;
+  edges.src = &list->src;
+  edges.dst_in = &list->dst;
+  edges.dst_out = &list->dst;
+  edges.present = list->size() > 0;
+  return edges;
+}
+
+}  // namespace
+
+LayerGraph LayerGraph::AllRows(int64_t num_vertices, const EdgeList* edges,
+                               const EdgeList* topo, const EdgeList* spatial) {
+  LayerGraph graph;
+  graph.num_in = num_vertices;
+  graph.num_out = num_vertices;
+  graph.edges = AllRowsEdges(edges);
+  graph.topo = AllRowsEdges(topo);
+  graph.spatial = AllRowsEdges(spatial);
+  return graph;
+}
+
 Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
-  SARN_TRACE_SPAN("gat_layer_forward");
   SARN_CHECK_EQ(x.rank(), 2);
   int64_t n = x.shape()[0];
   // Self-loops make every vertex attend to itself; without them isolated
@@ -55,14 +79,25 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   // augmented list is cached on the EdgeList, so a whole encoder stack (and
   // repeated Forward calls on the same view) builds it once.
   const EdgeList& graph = add_self_loops_ ? edges.WithSelfLoops(n) : edges;
-  const std::vector<int64_t>& src = graph.src;
-  const std::vector<int64_t>& dst = graph.dst;
+  return Forward(x, LayerGraph::AllRows(n, &graph, nullptr, nullptr));
+}
+
+Tensor GatLayer::Forward(const Tensor& x, const LayerGraph& graph) const {
+  SARN_TRACE_SPAN("gat_layer_forward");
+  SARN_CHECK_EQ(x.rank(), 2);
+  SARN_CHECK_EQ(x.shape()[0], graph.num_in);
+  SARN_CHECK(graph.edges.src != nullptr);
+  const std::vector<int64_t>& src = *graph.edges.src;
+  const std::vector<int64_t>& dst_in = *graph.edges.dst_in;
+  const std::vector<int64_t>& dst_out = *graph.edges.dst_out;
+  const int64_t n_out = graph.num_out;
   int64_t e_count = static_cast<int64_t>(src.size());
 
-  // Fused per-head projection: one [n, in] x [in, num_heads * head_dim]
-  // matmul instead of num_heads separate ones — the wide kernel amortises
-  // dispatch and keeps x in cache across heads. Concat is differentiable,
-  // so each head's weight still receives its own gradient slice.
+  // Fused per-head projection over the input rows: one [n_in, in] x
+  // [in, num_heads * head_dim] matmul instead of num_heads separate ones —
+  // the wide kernel amortises dispatch and keeps x in cache across heads.
+  // Concat is differentiable, so each head's weight still receives its own
+  // gradient slice.
   Tensor wx_all = num_heads_ == 1 ? tensor::MatMul(x, weight_[0])
                                   : tensor::MatMul(x, tensor::Concat(weight_, 1));
 
@@ -78,7 +113,7 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   // vertex's incoming edges; identical for every head, so computed once.
   Tensor uniform_alpha;
   if (!use_attention_) {
-    uniform_alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst, n);
+    uniform_alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), dst_out, n_out);
   }
 
   std::vector<Tensor> head_outputs;
@@ -86,28 +121,33 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   for (int h = 0; h < num_heads_; ++h) {
     Tensor wx = num_heads_ == 1
                     ? wx_all
-                    : tensor::ColsRange(wx_all, h * head_dim_, head_dim_);  // [n, head_dim]
+                    : tensor::ColsRange(wx_all, h * head_dim_, head_dim_);  // [n_in, head_dim]
     Tensor alpha;
     if (use_attention_) {
-      Tensor score_src = tensor::MatMul(wx, att_src_[h]);  // [n, 1]
-      Tensor score_dst = tensor::MatMul(wx, att_dst_[h]);  // [n, 1]
+      // Both scores run over the input rows and the destination's score is
+      // looked up by its input row, so wx receives its gradient
+      // contributions in the same order as in the all-rows layer.
+      Tensor score_src = tensor::MatMul(wx, att_src_[h]);  // [n_in, 1]
+      Tensor score_dst = tensor::MatMul(wx, att_dst_[h]);  // [n_in, 1]
       if (fused_inference) {
         alpha = tensor::EdgeSoftmax(
-            tensor::FusedEdgeScores(score_src, score_dst, src, dst, leaky_relu_slope_),
-            dst, n);
+            tensor::FusedEdgeScores(score_src, score_dst, src, dst_in, leaky_relu_slope_),
+            dst_out, n_out);
       } else {
-        alpha = tensor::EdgeSoftmax(tensor::FusedEdgeScoreActivate(
-                                        score_src, score_dst, src, dst, leaky_relu_slope_),
-                                    dst, n);
+        alpha = tensor::EdgeSoftmax(
+            tensor::FusedEdgeScoreActivate(score_src, score_dst, src, dst_in,
+                                           leaky_relu_slope_),
+            dst_out, n_out);
       }
     } else {
       alpha = uniform_alpha;
     }
     if (fused_inference) {
-      head_outputs.push_back(tensor::FusedGatherScaleScatter(wx, src, dst, alpha, n));
-    } else {
       head_outputs.push_back(
-          tensor::ScaleScatterRows(tensor::Rows(wx, src), alpha, dst, n));  // [n, head_dim]
+          tensor::FusedGatherScaleScatter(wx, src, dst_out, alpha, n_out));
+    } else {
+      head_outputs.push_back(tensor::ScaleScatterRows(tensor::Rows(wx, src), alpha,
+                                                      dst_out, n_out));  // [n_out, head_dim]
     }
   }
 
@@ -120,7 +160,9 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
     combined = tensor::MulScalar(combined, 1.0f / static_cast<float>(num_heads_));
   }
   if (residual_weight_.defined()) {
-    combined = tensor::Add(combined, tensor::MatMul(x, residual_weight_));
+    const Tensor x_out =
+        graph.out_rows == nullptr ? x : tensor::Rows(x, *graph.out_rows);
+    combined = tensor::Add(combined, tensor::MatMul(x_out, residual_weight_));
   }
   return Apply(activation_, combined);
 }
@@ -156,9 +198,18 @@ GatEncoder::GatEncoder(int64_t in_dim, int64_t hidden_dim, int64_t out_dim,
 }
 
 Tensor GatEncoder::Forward(const Tensor& x, const EdgeList& edges) const {
+  SARN_CHECK_EQ(x.rank(), 2);
+  const int64_t n = x.shape()[0];
+  std::vector<LayerGraph> layers(
+      layers_.size(), LayerGraph::AllRows(n, &edges.WithSelfLoops(n), nullptr, nullptr));
+  return Forward(x, layers);
+}
+
+Tensor GatEncoder::Forward(const Tensor& x, std::span<const LayerGraph> layers) const {
   SARN_TRACE_SPAN("gat_forward");
+  SARN_CHECK_EQ(layers.size(), layers_.size());
   Tensor h = x;
-  for (const GatLayer& layer : layers_) h = layer.Forward(h, edges);
+  for (size_t l = 0; l < layers_.size(); ++l) h = layers_[l].Forward(h, layers[l]);
   return h;
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/linear.h"
@@ -44,6 +45,44 @@ struct EdgeList {
   mutable size_t cached_edges_ = 0;
 };
 
+/// One relation's edges as one encoder layer reads them. The layer maps input
+/// rows [0, num_in) to output rows [0, num_out): `src` and `dst_in` index
+/// input rows, `dst_out` output rows. The vectors are borrowed for the
+/// Forward call (the ops copy the indices their backward needs).
+struct LayerEdges {
+  const std::vector<int64_t>* src = nullptr;
+  const std::vector<int64_t>* dst_in = nullptr;
+  const std::vector<int64_t>* dst_out = nullptr;
+  /// Whether the graph view has edges of this relation at all. A relational
+  /// layer runs the relation's term whenever it does, even when none of
+  /// those edges reach this layer's rows.
+  bool present = false;
+
+  size_t size() const { return src == nullptr ? 0 : src->size(); }
+};
+
+/// The part of a graph view one encoder layer runs on (DESIGN.md §17): the
+/// input rows R_l, numbered [0, num_in), and the output rows R_{l+1} ⊆ R_l,
+/// numbered [0, num_out), both ascending in global vertex id, plus every
+/// edge whose destination is an output row, in the view's edge order. The
+/// all-rows case (num_in == num_out == n, indices are vertex ids) is the
+/// full-graph layer.
+struct LayerGraph {
+  int64_t num_in = 0;
+  int64_t num_out = 0;
+  /// Input row of each output row; nullptr when every row maps to itself.
+  const std::vector<int64_t>* out_rows = nullptr;
+  /// All edges with the self-loops appended (what a GAT layer aggregates).
+  LayerEdges edges;
+  /// The topological and spatial relations (what an RFN layer aggregates).
+  LayerEdges topo;
+  LayerEdges spatial;
+
+  /// The all-rows layer over `num_vertices` rows. Any list may be null.
+  static LayerGraph AllRows(int64_t num_vertices, const EdgeList* edges,
+                            const EdgeList* topo, const EdgeList* spatial);
+};
+
 /// One multi-head GAT layer.
 class GatLayer : public Module {
  public:
@@ -62,8 +101,13 @@ class GatLayer : public Module {
   /// fixed adjacency weights instead of attention).
   void set_use_attention(bool value) { use_attention_ = value; }
 
-  /// x: [n, in_dim]; vertices referenced by `edges` must be < n.
+  /// x: [n, in_dim]; vertices referenced by `edges` must be < n. The
+  /// all-rows case of the LayerGraph forward (self-loops added here).
   tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& edges) const;
+
+  /// x: [graph.num_in, in_dim] -> [graph.num_out, output_dim()]. Aggregates
+  /// over graph.edges as given, so they must already carry the self-loops.
+  tensor::Tensor Forward(const tensor::Tensor& x, const LayerGraph& graph) const;
 
   std::vector<tensor::Tensor> Parameters() const override;
 
@@ -93,7 +137,13 @@ class GatEncoder : public Module {
   GatEncoder(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, int num_layers,
              int num_heads, Rng& rng, bool use_attention = true);
 
+  /// All rows: every layer aggregates over `edges` plus self-loops.
   tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& edges) const;
+
+  /// One LayerGraph per layer; x: [layers[0].num_in, in_dim] ->
+  /// [layers.back().num_out, out_dim()].
+  tensor::Tensor Forward(const tensor::Tensor& x,
+                         std::span<const LayerGraph> layers) const;
 
   std::vector<tensor::Tensor> Parameters() const override;
 

@@ -11,12 +11,14 @@ using tensor::Tensor;
 // Uniform-mean aggregation over a relation: for every destination vertex,
 // the mean of its incoming sources' rows (softmax of constant scores =
 // 1/deg per edge, the same trick GatLayer uses for its no-attention path).
-// Vertices with no incoming edges of this relation get a zero row.
-Tensor MeanAggregate(const Tensor& x, const EdgeList& edges, int64_t n) {
+// Vertices with no incoming edges of this relation get a zero row. Reads the
+// input rows `x` and writes `num_out` output rows.
+Tensor MeanAggregate(const Tensor& x, const LayerEdges& edges, int64_t num_out) {
   int64_t e_count = static_cast<int64_t>(edges.size());
-  Tensor alpha = tensor::EdgeSoftmax(Tensor::Zeros({e_count}), edges.dst, n);
-  Tensor messages = tensor::ScaleRows(tensor::Rows(x, edges.src), alpha);
-  return tensor::ScatterAddRows(messages, edges.dst, n);  // [n, d]
+  Tensor alpha =
+      tensor::EdgeSoftmax(Tensor::Zeros({e_count}), *edges.dst_out, num_out);
+  Tensor messages = tensor::ScaleRows(tensor::Rows(x, *edges.src), alpha);
+  return tensor::ScatterAddRows(messages, *edges.dst_out, num_out);  // [num_out, d]
 }
 
 }  // namespace
@@ -30,13 +32,23 @@ RfnLayer::RfnLayer(int64_t in_dim, int64_t out_dim, Activation activation, Rng& 
 Tensor RfnLayer::Forward(const Tensor& x, const EdgeList& topo,
                          const EdgeList& spatial) const {
   SARN_CHECK_EQ(x.shape().size(), 2u);
-  int64_t n = x.shape()[0];
+  return Forward(x, LayerGraph::AllRows(x.shape()[0], nullptr, &topo, &spatial));
+}
+
+Tensor RfnLayer::Forward(const Tensor& x, const LayerGraph& graph) const {
+  SARN_CHECK_EQ(x.shape().size(), 2u);
+  SARN_CHECK_EQ(x.shape()[0], graph.num_in);
+  // The self term runs over the input rows and is then gathered to the
+  // output rows, so x receives its gradient contributions in the same order
+  // as in the all-rows layer.
   Tensor out = self_.Forward(x);
-  if (topo.size() > 0) {
-    out = tensor::Add(out, topo_.Forward(MeanAggregate(x, topo, n)));
+  if (graph.out_rows != nullptr) out = tensor::Rows(out, *graph.out_rows);
+  if (graph.topo.present) {
+    out = tensor::Add(out, topo_.Forward(MeanAggregate(x, graph.topo, graph.num_out)));
   }
-  if (spatial.size() > 0) {
-    out = tensor::Add(out, spatial_.Forward(MeanAggregate(x, spatial, n)));
+  if (graph.spatial.present) {
+    out = tensor::Add(out,
+                      spatial_.Forward(MeanAggregate(x, graph.spatial, graph.num_out)));
   }
   return Apply(activation_, out);
 }
@@ -61,8 +73,16 @@ RfnEncoder::RfnEncoder(int64_t in_dim, int64_t hidden_dim, int64_t out_dim,
 
 Tensor RfnEncoder::Forward(const Tensor& x, const EdgeList& topo,
                            const EdgeList& spatial) const {
+  SARN_CHECK_EQ(x.shape().size(), 2u);
+  std::vector<LayerGraph> layers(
+      layers_.size(), LayerGraph::AllRows(x.shape()[0], nullptr, &topo, &spatial));
+  return Forward(x, layers);
+}
+
+Tensor RfnEncoder::Forward(const Tensor& x, std::span<const LayerGraph> layers) const {
+  SARN_CHECK_EQ(layers.size(), layers_.size());
   Tensor h = x;
-  for (const RfnLayer& layer : layers_) h = layer.Forward(h, topo, spatial);
+  for (size_t l = 0; l < layers_.size(); ++l) h = layers_[l].Forward(h, layers[l]);
   return h;
 }
 

@@ -17,6 +17,7 @@
 #define SARN_NN_RFN_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/gat.h"
@@ -33,9 +34,14 @@ class RfnLayer : public Module {
 
   /// x: [n, in_dim]; `topo` aggregates src -> dst with uniform mean per dst,
   /// `spatial` likewise (callers pass both directions of undirected spatial
-  /// edges). Either list may be empty.
+  /// edges). Either list may be empty. The all-rows case of the LayerGraph
+  /// forward.
   tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& topo,
                          const EdgeList& spatial) const;
+
+  /// x: [graph.num_in, in_dim] -> [graph.num_out, output_dim()], over
+  /// graph.topo and graph.spatial.
+  tensor::Tensor Forward(const tensor::Tensor& x, const LayerGraph& graph) const;
 
   std::vector<tensor::Tensor> Parameters() const override;
 
@@ -57,6 +63,11 @@ class RfnEncoder : public Module {
 
   tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& topo,
                          const EdgeList& spatial) const;
+
+  /// One LayerGraph per layer; x: [layers[0].num_in, in_dim] ->
+  /// [layers.back().num_out, out_dim()].
+  tensor::Tensor Forward(const tensor::Tensor& x,
+                         std::span<const LayerGraph> layers) const;
 
   std::vector<tensor::Tensor> Parameters() const override;
 

@@ -17,6 +17,16 @@ void AppendField(std::string* json, const char* key, const std::string& value,
   *json += value;
 }
 
+std::string NumberArray(const std::vector<double>& values) {
+  std::string out = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ",";
+    out += JsonNumber(values[i]);
+  }
+  out += "]";
+  return out;
+}
+
 std::string Quoted(std::string_view value) {
   std::string out = "\"";
   JsonEscape(value, &out);
@@ -94,6 +104,23 @@ std::string EpochRecordToJson(const EpochRecord& record) {
               &pool_first);
   pool += "}";
   AppendField(&json, "pool", pool, &first);
+  AppendField(&json, "pool_misses", std::to_string(record.pool_misses), &first);
+
+  if (!record.halo.empty()) {
+    std::string halo = "{";
+    bool halo_first = true;
+    AppendField(&halo, "n", std::to_string(record.halo_vertices), &halo_first);
+    for (const EpochRecord::HaloBranch& branch : record.halo) {
+      std::string block = "{";
+      bool block_first = true;
+      AppendField(&block, "rows", NumberArray(branch.rows), &block_first);
+      AppendField(&block, "edges", NumberArray(branch.edges), &block_first);
+      block += "}";
+      AppendField(&halo, branch.name.c_str(), block, &halo_first);
+    }
+    halo += "}";
+    AppendField(&json, "halo", halo, &first);
+  }
 
   json += "}";
   return json;

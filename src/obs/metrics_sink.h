@@ -71,6 +71,22 @@ struct EpochRecord {
   uint64_t pool_chunks = 0;
   uint64_t pool_items = 0;
   double pool_idle_seconds = 0.0;
+
+  // Buffer-pool misses (global-allocator calls for tensor storage) during
+  // the epoch; 0 in steady state.
+  uint64_t pool_misses = 0;
+
+  // Receptive-field step sizes (DESIGN.md §17), one entry per branch
+  // ("online", "target"): mean rows per depth R_0 .. R_L and mean edges per
+  // layer (self-loops included) over the epoch's batches, out of
+  // `halo_vertices` rows. Not emitted when `halo` is empty.
+  struct HaloBranch {
+    std::string name;
+    std::vector<double> rows;
+    std::vector<double> edges;
+  };
+  int64_t halo_vertices = 0;
+  std::vector<HaloBranch> halo;
 };
 
 struct CheckpointEvent {

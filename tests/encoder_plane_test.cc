@@ -8,6 +8,12 @@
 // grad kernels and compiled GEMMs, so any change that perturbs the RNG
 // stream, the float operation order or the reduction order fails this test.
 //
+// Composition-keyed lines pin every other registered variant the same way:
+// gat with the random, in-batch and all-vertex samplers; the third-law,
+// uniform-drop and adaptive-drop augmentations; rfn with the spatial and
+// all-vertex samplers. They were recorded from the full-graph trainer, so
+// they also pin receptive-field steps (DESIGN.md §17) to its bits.
+//
 // Regenerate (only when a change is *supposed* to shift the numerics):
 //   SARN_WRITE_GOLDEN=1 ./encoder_plane_test --gtest_filter='*RewriteGolden*'
 
@@ -18,6 +24,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -87,10 +95,41 @@ struct Trace {
   uint64_t embedding_digest = 0;
 };
 
-Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads) {
+// A registered encoder/augmentation/negatives composition.
+struct Composition {
+  std::string encoder;
+  std::string augmentation;
+  std::string negatives;
+
+  // The golden-file key: "encoder,augmentation,negatives".
+  std::string Key() const { return encoder + "," + augmentation + "," + negatives; }
+};
+
+const std::vector<Composition>& PinnedCompositions() {
+  static const std::vector<Composition> kCompositions = {
+      {"gat", "spatial-importance", "random"},
+      {"gat", "spatial-importance", "in-batch"},
+      {"gat", "spatial-importance", "all-vertex"},
+      {"gat", "third-law", "spatial"},
+      {"gat", "uniform-drop", "spatial"},
+      {"gat", "adaptive-drop", "spatial"},
+      {"rfn", "spatial-importance", "spatial"},
+      {"rfn", "spatial-importance", "all-vertex"},
+  };
+  return kCompositions;
+}
+
+Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads,
+               const Composition* composition = nullptr) {
   size_t saved = GetParallelThreads();
   SetParallelThreads(threads);
-  SarnModel model(network, GoldenConfig());
+  SarnConfig config = GoldenConfig();
+  if (composition != nullptr) {
+    config.encoder = composition->encoder;
+    config.augmentation = composition->augmentation;
+    config.negatives = composition->negatives;
+  }
+  SarnModel model(network, config);
   TrainStats stats = model.Train(TrainOptions{});
   Trace trace;
   for (double loss : stats.epoch_losses) trace.loss_bits.push_back(DoubleBits(loss));
@@ -99,8 +138,10 @@ Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads) {
   return trace;
 }
 
-std::string FormatTrace(size_t threads, const Trace& trace) {
+std::string FormatTrace(size_t threads, const Trace& trace,
+                        const Composition* composition = nullptr) {
   std::ostringstream out;
+  if (composition != nullptr) out << "composition=" << composition->Key() << " ";
   out << "threads=" << threads << " losses=";
   for (size_t i = 0; i < trace.loss_bits.size(); ++i) {
     if (i > 0) out << ",";
@@ -110,19 +151,24 @@ std::string FormatTrace(size_t threads, const Trace& trace) {
   return out.str();
 }
 
-// Parses "threads=N losses=hex,hex,... embeddings=hex" lines.
-std::map<size_t, Trace> ReadGoldenFile() {
-  std::map<size_t, Trace> golden;
+// Parses "[composition=e,a,n ]threads=N losses=hex,hex,... embeddings=hex"
+// lines, keyed by (composition key, threads); the default composition's
+// lines carry no key ("").
+std::map<std::pair<std::string, size_t>, Trace> ReadGoldenFile() {
+  std::map<std::pair<std::string, size_t>, Trace> golden;
   std::ifstream in(kGoldenFile);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     size_t threads = 0;
+    std::string key;
     Trace trace;
     std::istringstream fields(line);
     std::string field;
     while (fields >> field) {
-      if (field.rfind("threads=", 0) == 0) {
+      if (field.rfind("composition=", 0) == 0) {
+        key = field.substr(12);
+      } else if (field.rfind("threads=", 0) == 0) {
         threads = static_cast<size_t>(std::stoull(field.substr(8)));
       } else if (field.rfind("losses=", 0) == 0) {
         std::istringstream values(field.substr(7));
@@ -134,7 +180,7 @@ std::map<size_t, Trace> ReadGoldenFile() {
         trace.embedding_digest = std::stoull(field.substr(11), nullptr, 16);
       }
     }
-    if (threads > 0) golden[threads] = trace;
+    if (threads > 0) golden[{key, threads}] = trace;
   }
   return golden;
 }
@@ -151,18 +197,25 @@ TEST(GoldenTrace, RewriteGoldenFile) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     out << FormatTrace(threads, RunTrace(network, threads)) << "\n";
   }
+  out << "# Composition-keyed traces, recorded from the full-graph trainer.\n";
+  for (const Composition& composition : PinnedCompositions()) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      out << FormatTrace(threads, RunTrace(network, threads, &composition),
+                         &composition)
+          << "\n";
+    }
+  }
 }
 
-class GoldenTraceTest : public testing::TestWithParam<size_t> {};
-
-TEST_P(GoldenTraceTest, BitwiseIdenticalToPreRefactorTrace) {
-  const size_t threads = GetParam();
+void ExpectMatchesGolden(size_t threads, const Composition* composition) {
+  const std::string key = composition != nullptr ? composition->Key() : "";
   auto golden = ReadGoldenFile();
-  ASSERT_TRUE(golden.count(threads))
-      << "no golden entry for threads=" << threads << " in " << kGoldenFile;
+  ASSERT_TRUE(golden.count({key, threads}))
+      << "no golden entry for composition=\"" << key << "\" threads=" << threads
+      << " in " << kGoldenFile;
   const auto network = GoldenCity();
-  Trace trace = RunTrace(network, threads);
-  const Trace& expected = golden[threads];
+  Trace trace = RunTrace(network, threads, composition);
+  const Trace& expected = golden[{key, threads}];
   ASSERT_EQ(trace.loss_bits.size(), expected.loss_bits.size());
   for (size_t i = 0; i < trace.loss_bits.size(); ++i) {
     EXPECT_EQ(trace.loss_bits[i], expected.loss_bits[i])
@@ -172,11 +225,39 @@ TEST_P(GoldenTraceTest, BitwiseIdenticalToPreRefactorTrace) {
       << "embedding bits diverge at threads=" << threads;
 }
 
+class GoldenTraceTest : public testing::TestWithParam<size_t> {};
+
+TEST_P(GoldenTraceTest, BitwiseIdenticalToPreRefactorTrace) {
+  ExpectMatchesGolden(GetParam(), nullptr);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenTraceTest,
                          testing::Values(size_t{1}, size_t{4}),
                          [](const auto& info) {
                            return "threads" + std::to_string(info.param);
                          });
+
+class CompositionTraceTest
+    : public testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(CompositionTraceTest, BitwiseIdenticalToFullGraphTrace) {
+  const auto [index, threads] = GetParam();
+  ExpectMatchesGolden(threads, &PinnedCompositions()[index]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Compositions, CompositionTraceTest,
+    testing::Combine(testing::Range(size_t{0}, PinnedCompositions().size()),
+                     testing::Values(size_t{1}, size_t{4})),
+    [](const auto& info) {
+      const Composition& c = PinnedCompositions()[std::get<0>(info.param)];
+      std::string name = c.encoder + "_" + c.augmentation + "_" + c.negatives +
+                         "_threads" + std::to_string(std::get<1>(info.param));
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 // --- Registry round-trip ------------------------------------------------------
 //

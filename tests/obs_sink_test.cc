@@ -94,6 +94,10 @@ TEST(EpochRecordJsonTest, SerialisesAllSections) {
   record.checkpoint_bytes = 2048;
   record.checkpoint_seconds = 0.01;
   record.pool_regions = 5;
+  record.pool_misses = 9;
+  record.halo_vertices = 2739;
+  record.halo = {{"online", {1363.0, 541.5, 124.5}, {2879.0, 621.0}},
+                 {"target", {2739.0, 2739.0, 2739.0}, {22000.0, 22000.0}}};
   std::string json = EpochRecordToJson(record);
   std::string error;
   EXPECT_TRUE(JsonValid(json, &error)) << error;
@@ -104,6 +108,12 @@ TEST(EpochRecordJsonTest, SerialisesAllSections) {
   EXPECT_NE(json.find("\"stored\":100"), std::string::npos);
   EXPECT_NE(json.find("\"bytes\":2048"), std::string::npos);
   EXPECT_NE(json.find("\"regions\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"pool_misses\":9"), std::string::npos);
+  EXPECT_NE(json.find("\"halo\":{\"n\":2739,"
+                      "\"online\":{\"rows\":[1363,541.5,124.5],\"edges\":[2879,621]},"
+                      "\"target\":{\"rows\":[2739,2739,2739],\"edges\":[22000,22000]}}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(EpochRecordJsonTest, QueueSectionOmittedWhenTrainerHasNoQueue) {
@@ -114,6 +124,7 @@ TEST(EpochRecordJsonTest, QueueSectionOmittedWhenTrainerHasNoQueue) {
   std::string error;
   EXPECT_TRUE(JsonValid(json, &error)) << error;
   EXPECT_EQ(json.find("\"queue\""), std::string::npos);
+  EXPECT_EQ(json.find("\"halo\""), std::string::npos);  // No halo sizes given.
 }
 
 TEST(CheckpointEventJsonTest, SerialisesActionAndDetail) {

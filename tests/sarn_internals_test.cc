@@ -28,12 +28,6 @@ class SarnModelTestPeer {
     return *store;
   }
 
-  tensor::Tensor OnlineEncode(const nn::EdgeList& edges) {
-    GraphView view;
-    view.edges = edges;
-    return model_->OnlineEncode(view);
-  }
-
  private:
   SarnModel* model_;
 };

@@ -38,12 +38,16 @@
 #      typed error, never an out-of-bounds read) and the concurrent mmap
 #      hot-swap round trip under TSan;
 #   9. the pluggable encoder/augmentation plane (ctest -L encoder: variant
-#      registry round-trip, pre-refactor golden-trace bitwise pin of the
-#      fused grad path at 1 and 4 threads, checkpoint variant-tag compat)
-#      plus CLI smokes: 2-epoch training runs of the RFN encoder and the
-#      Third-Law augmentation; encoder_plane_test also rides
-#      the TSan and ASan rebuilds so a race or leak in a variant factory,
-#      the RFN relational kernels or the trainer's sampler staging fails
+#      registry round-trip, golden-trace bitwise pins of the default and
+#      eight other compositions at 1 and 4 threads, receptive-field builder
+#      and restricted-layer bitwise tests, checkpoint variant-tag compat)
+#      plus CLI smokes: 2-epoch training runs of the RFN encoder, the
+#      Third-Law augmentation and the all-vertex negatives (the one
+#      composition whose target branch runs on all rows while its online
+#      branch runs on the batch's receptive field); encoder_plane_test and
+#      receptive_field_test also ride the TSan and ASan rebuilds so a race or
+#      leak in a variant factory, the RFN relational kernels, the
+#      receptive-field builder or the trainer's sampler staging fails
 #      verification.
 #
 # Usage: tools/verify.sh [--tsan-only|--no-tsan|--no-asan]
@@ -73,14 +77,17 @@ if [[ "$mode" != "--tsan-only" ]]; then
   # Encoder/augmentation plane suite: registry round-trip, golden-trace pin,
   # checkpoint variant tags.
   (cd build && ctest --output-on-failure -L encoder)
-  # Variant smokes: the non-default encoder (RFN) and augmentation
-  # (Third-Law) must train end to end through the CLI.
+  # Variant smokes: the non-default encoder (RFN), augmentation (Third-Law)
+  # and the all-vertex negatives (all-rows target branch) must train end to
+  # end through the CLI.
   variant_dir="build/verify_encoder"
   rm -rf "$variant_dir" && mkdir -p "$variant_dir"
   build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
     --encoder rfn --embeddings "$variant_dir/emb_rfn.csv"
   build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
     --augmentation third-law --embeddings "$variant_dir/emb_third_law.csv"
+  build/tools/sarn train --network "$obs_dir/net.csv" --epochs 2 --dim 16 \
+    --negatives all-vertex --embeddings "$variant_dir/emb_all_vertex.csv"
   # Query-serving suite: batch/sequential bitwise equivalence, cache + epoch
   # hot-swap semantics, protocol fuzz cases, flag registry.
   (cd build && ctest --output-on-failure -L serve)
@@ -190,9 +197,9 @@ if [[ "$mode" != "--no-tsan" && "$mode" != "--no-asan" ]]; then
              sarn_model_test obs_metrics_test obs_trace_test \
              obs_request_trace_test serve_engine_test \
              storage_pool_test simd_kernels_test quantized_index_test \
-             snapshot_roundtrip_test encoder_plane_test
+             snapshot_roundtrip_test encoder_plane_test receptive_field_test
   (cd build-tsan && ctest --output-on-failure \
-    -R '^(parallel_test|ops_test|nn_gat_test|serialization_test|sarn_model_test|obs_metrics_test|obs_trace_test|obs_request_trace_test|serve_engine_test|storage_pool_test|simd_kernels_test|quantized_index_test|snapshot_roundtrip_test|encoder_plane_test)$')
+    -R '^(parallel_test|ops_test|nn_gat_test|serialization_test|sarn_model_test|obs_metrics_test|obs_trace_test|obs_request_trace_test|serve_engine_test|storage_pool_test|simd_kernels_test|quantized_index_test|snapshot_roundtrip_test|encoder_plane_test|receptive_field_test)$')
 fi
 
 if [[ "$mode" != "--tsan-only" && "$mode" != "--no-asan" ]]; then
@@ -202,9 +209,10 @@ if [[ "$mode" != "--tsan-only" && "$mode" != "--no-asan" ]]; then
   cmake --build build-asan -j"$jobs" \
     --target storage_pool_test tensor_test simd_kernels_test \
              quantized_index_test snapshot_corruption_test \
-             snapshot_roundtrip_test encoder_plane_test sarn_cli
+             snapshot_roundtrip_test encoder_plane_test receptive_field_test \
+             sarn_cli
   (cd build-asan && ctest --output-on-failure \
-    -R '^(storage_pool_test|tensor_test|simd_kernels_test|quantized_index_test|snapshot_corruption_test|snapshot_roundtrip_test|encoder_plane_test)$')
+    -R '^(storage_pool_test|tensor_test|simd_kernels_test|quantized_index_test|snapshot_corruption_test|snapshot_roundtrip_test|encoder_plane_test|receptive_field_test)$')
   asan_dir="build-asan/verify_leak"
   rm -rf "$asan_dir" && mkdir -p "$asan_dir"
   build-asan/tools/sarn generate --city CD --scale 0.015 --out "$asan_dir/net.csv"
