@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -470,6 +471,41 @@ void BM_SimdDotScanI8(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdDotScanI8<false>)->Name("BM_DotScanI8Scalar");
 BENCHMARK(BM_SimdDotScanI8<true>)->Name("BM_DotScanI8Simd");
+
+// The int8 dot scan per query-block size, at the serve-scan shape: 40000
+// rows streamed in the index's 1024-row tiles. qn = 4 is the block kernel
+// every full block of a batch runs; qn = 1..3 are the tail queries, each
+// scanned one query against four rows at a time. d = 24 runs the 16- and
+// 8-byte tail steps, d = 64 only whole 32-byte steps. The counter is
+// seconds per (query, row) pair, so the rows compare across qn directly.
+void BM_DotScanI8PerQn(benchmark::State& state) {
+  const int qn = static_cast<int>(state.range(0));
+  const int64_t d = state.range(1);
+  constexpr int64_t kRows = 40000;
+  constexpr int64_t kTile = 1024;
+  Rng rng(25);
+  std::vector<int8_t> rows(kRows * d), queries(qn * d);
+  for (int8_t& v : rows) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  for (int8_t& v : queries) v = static_cast<int8_t>(rng.UniformInt(-127, 127));
+  std::vector<float> row_scales(kRows, 0.01f), query_scales(qn, 0.01f);
+  std::vector<float> tile(qn * kTile);
+  for (auto _ : state) {
+    for (int64_t r0 = 0; r0 < kRows; r0 += kTile) {
+      const int64_t n = std::min(kTile, kRows - r0);
+      tensor::simd::DotScanI8(queries.data(), query_scales.data(), qn,
+                              rows.data() + r0 * d, row_scales.data() + r0, n,
+                              d, tile.data(), kTile);
+      benchmark::DoNotOptimize(tile.data());
+    }
+  }
+  state.counters["s_per_query_row"] = benchmark::Counter(
+      static_cast<double>(qn * kRows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DotScanI8PerQn)
+    ->ArgNames({"qn", "d"})
+    ->ArgsProduct({{1, 2, 3, 4}, {24, 64}});
 
 template <bool kVector>
 void BM_SimdL1ScanI8(benchmark::State& state) {

@@ -385,6 +385,9 @@ std::string FormatStatsLine(uint64_t seq, const ServeStats& stats) {
   out.append(",\"bytes\":" + std::to_string(stats.snapshot_bytes));
   out.append(",\"mapped_bytes\":" + std::to_string(stats.snapshot_mapped_bytes));
   out.append(",\"copied_bytes\":" + std::to_string(stats.snapshot_copied_bytes));
+  out.append("},\"index\":{");
+  out.append("\"block_queries\":" + std::to_string(stats.index_block_queries));
+  out.append(",\"tail_queries\":" + std::to_string(stats.index_tail_queries));
   out.append("}}}");
   return out;
 }

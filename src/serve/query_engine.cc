@@ -438,6 +438,10 @@ ServeStats QueryEngine::Stats() const {
       registry.GetGauge("sarn.snapshot.mapped_bytes").Value());
   stats.snapshot_copied_bytes = static_cast<uint64_t>(
       registry.GetGauge("sarn.snapshot.copied_bytes").Value());
+  stats.index_block_queries =
+      registry.GetCounter("sarn.index.block_queries").Value();
+  stats.index_tail_queries =
+      registry.GetCounter("sarn.index.tail_queries").Value();
   return stats;
 }
 

@@ -117,6 +117,10 @@ struct ServeStats {
   uint64_t snapshot_bytes = 0;         // Arena bytes of the last load.
   uint64_t snapshot_mapped_bytes = 0;  // Served zero-copy from the mapping.
   uint64_t snapshot_copied_bytes = 0;  // Materialised into pool storage.
+  // Process-wide sarn.index.* scan counters (src/tasks/embedding_index.cc):
+  // queries scanned in full 4-query blocks vs as a batch's 1–3 tail queries.
+  uint64_t index_block_queries = 0;
+  uint64_t index_tail_queries = 0;
 };
 
 /// Per-stage latency attribution + the traced-request ring, the data behind

@@ -21,8 +21,8 @@ namespace {
 
 // Rows scanned per kernel call: the fused scan streams the matrix in tiles
 // this tall, scoring a block of up to simd::kMaxQueryBlock queries per pass
-// and feeding the scores straight into the top-k heaps, so the scratch is
-// one small pooled tile instead of a [batch, n] score matrix.
+// and feeding the scores straight into the top-k arrays, so the scratch is
+// one small tile per query block instead of a [batch, n] score matrix.
 constexpr int64_t kScanTile = 1024;
 
 // L2-normalises `row` in place, with the norm accumulated in double exactly
@@ -43,18 +43,20 @@ tensor::Storage ByteStorage(size_t bytes) {
                                         sizeof(float));
 }
 
-// Top-k selection fused with the tiled scan: a pool-backed array sorted
-// descending by (score, id) keeps the k best pairs seen while tiles arrive
-// in ascending-id order — the k largest pairs under strict-> replacement
-// against the current minimum (the array's back), exactly the set a
-// (score, id) min-heap would keep, already in the emit order. The selection
-// rule is independent of tiling and batching, so fused, batched and
-// single-query answers select identically.
+// Top-k selection fused with the tiled scan: a caller-owned slice of at
+// least k entries, kept sorted descending by (score, id), holds the k best
+// pairs seen while tiles arrive in ascending-id order — the k largest pairs
+// under strict-> replacement against the current minimum (the back), exactly
+// the set a (score, id) min-heap would keep, already in the emit order. The
+// selection rule is independent of tiling and batching, so fused, batched
+// and single-query answers select identically.
+using TopKEntry = std::pair<float, int64_t>;
+
 class TopKAccumulator {
  public:
-  TopKAccumulator(int k, int64_t exclude) : k_(k), exclude_(exclude) {
-    best_.reserve(static_cast<size_t>(std::max(k, 0)));
-  }
+  TopKAccumulator() = default;
+  TopKAccumulator(TopKEntry* best, int k, int64_t exclude)
+      : best_(best), k_(k), exclude_(exclude) {}
 
   /// Offers `count` scores for rows [id0, id0 + count), ascending. `cand` is
   /// caller scratch for at least `count` candidate positions.
@@ -62,7 +64,7 @@ class TopKAccumulator {
                 int32_t* cand) {
     if (k_ <= 0) return;
     int64_t t = 0;
-    while (static_cast<int>(best_.size()) < k_ && t < count) {
+    while (size_ < k_ && t < count) {
       const int64_t id = id0 + t;
       if (id != exclude_) Insert({scores[t], id});
       ++t;
@@ -78,14 +80,14 @@ class TopKAccumulator {
     while (t < count) {
       const int64_t len = std::min<int64_t>(kFilterChunk, count - t);
       const int64_t m =
-          simd::FilterAbove(scores + t, len, best_.back().first, cand);
+          simd::FilterAbove(scores + t, len, best_[size_ - 1].first, cand);
       for (int64_t c = 0; c < m; ++c) {
         const int64_t pos = t + cand[c];
         const int64_t id = id0 + pos;
         if (id == exclude_) continue;
         const float score = scores[pos];
-        if (score > best_.back().first) {
-          best_.pop_back();
+        if (score > best_[size_ - 1].first) {
+          --size_;  // Drop the minimum.
           Insert({score, id});
         }
       }
@@ -93,31 +95,86 @@ class TopKAccumulator {
     }
   }
 
-  std::vector<Neighbor> Finish() {
-    std::vector<Neighbor> out(best_.size());
-    for (size_t i = 0; i < best_.size(); ++i) {
+  std::vector<Neighbor> Finish() const {
+    std::vector<Neighbor> out(static_cast<size_t>(size_));
+    for (int i = 0; i < size_; ++i) {
       out[i] = {best_[i].second, static_cast<double>(best_[i].first)};
     }
     return out;
   }
 
  private:
-  using Entry = std::pair<float, int64_t>;
-
-  void Insert(const Entry& e) {
-    auto it = std::upper_bound(
-        best_.begin(), best_.end(), e,
-        [](const Entry& a, const Entry& b) { return a > b; });
-    best_.insert(it, e);
+  void Insert(const TopKEntry& e) {
+    TopKEntry* end = best_ + size_;
+    TopKEntry* it = std::upper_bound(
+        best_, end, e,
+        [](const TopKEntry& a, const TopKEntry& b) { return a > b; });
+    std::move_backward(it, end, end + 1);
+    *it = e;
+    ++size_;
   }
 
-  int k_;
-  int64_t exclude_;
-  tensor::PoolVec<Entry> best_;  // Descending by (score, id); back = minimum.
+  TopKEntry* best_ = nullptr;  // Descending by (score, id); back = minimum.
+  int k_ = 0;
+  int size_ = 0;
+  int64_t exclude_ = -1;
 };
 
 int ClampK(int k, int64_t n, int64_t exclude) {
   return std::min<int>(k, static_cast<int>(exclude >= 0 ? n - 1 : n));
+}
+
+// The fused scan + top-k loop both precisions share. Its parallel items
+// are whole blocks of simd::kMaxQueryBlock queries (the last block holds the
+// batch's 1–3 tail queries, if any), so every full block runs the kernels'
+// block-of-4 path. `score_tile(g, qn, r0, rows, tile)` writes the scores of
+// queries [g, g + qn) against rows [r0, r0 + rows) to tile[qi * kScanTile +
+// t]. All scratch — score tiles, candidate buffers and the [b, k] top-k
+// entries — is drawn here, once, on the calling thread, and each block
+// works in its own slice: which worker runs a block cannot change which
+// thread's pool cache is touched, so steady-state batches stay pool-miss
+// free at any core count. Every (query, row) score is an independent
+// fixed-order reduction (src/tensor/simd/simd.h), so results do not depend
+// on the block grouping or on how ParallelFor spreads the blocks.
+template <typename ScoreTile>
+void FusedScan(size_t b, int64_t n, int k, const int64_t* excludes,
+               const ScoreTile& score_tile,
+               std::vector<std::vector<Neighbor>>* results) {
+  constexpr int kBlock = simd::kMaxQueryBlock;
+  constexpr size_t kTileFloats = kBlock * static_cast<size_t>(kScanTile);
+  const size_t blocks = (b + kBlock - 1) / kBlock;
+  const size_t k_cap =
+      static_cast<size_t>(std::clamp<int64_t>(k, 0, n));  // >= every ClampK.
+  tensor::Storage tiles = tensor::Storage::Uninitialized(blocks * kTileFloats);
+  tensor::PoolVec<int32_t> cand(blocks * static_cast<size_t>(kScanTile));
+  tensor::PoolVec<TopKEntry> topk(b * k_cap);
+  auto run_blocks = [&](size_t begin, size_t end) {
+    for (size_t blk = begin; blk < end; ++blk) {
+      const size_t g = blk * kBlock;
+      const int qn = static_cast<int>(std::min<size_t>(kBlock, b - g));
+      float* tile = tiles.data() + blk * kTileFloats;
+      int32_t* block_cand = cand.data() + blk * static_cast<size_t>(kScanTile);
+      TopKAccumulator accs[kBlock];
+      for (int qi = 0; qi < qn; ++qi) {
+        accs[qi] = TopKAccumulator(topk.data() + (g + qi) * k_cap,
+                                   ClampK(k, n, excludes[g + qi]),
+                                   excludes[g + qi]);
+      }
+      for (int64_t r0 = 0; r0 < n; r0 += kScanTile) {
+        const int64_t rows = std::min<int64_t>(kScanTile, n - r0);
+        score_tile(g, qn, r0, rows, tile);
+        for (int qi = 0; qi < qn; ++qi) {
+          accs[qi].PushTile(tile + qi * kScanTile, rows, r0, block_cand);
+        }
+      }
+      for (int qi = 0; qi < qn; ++qi) (*results)[g + qi] = accs[qi].Finish();
+    }
+  };
+  if (blocks == 1) {
+    run_blocks(0, 1);  // Nothing to spread: skip the pool wake-up.
+  } else {
+    ParallelFor(blocks, run_blocks, /*grain=*/1);
+  }
 }
 
 }  // namespace
@@ -216,15 +273,22 @@ namespace {
 
 // Scan-side instruments, cached once (DESIGN.md §9 pattern). Updated per
 // QueryBatch call — cheap relaxed adds next to a full index scan.
+// block_queries + tail_queries == scanned_queries: the queries that ran in a
+// full block of simd::kMaxQueryBlock and the 1–3 a batch left over, so a
+// slow scan can be read as a batch-shape problem from the counters alone.
 struct IndexScanMetrics {
   obs::Counter& scans;
   obs::Counter& scanned_queries;
+  obs::Counter& block_queries;
+  obs::Counter& tail_queries;
   obs::Histogram& scan_seconds;
 
   static IndexScanMetrics& Get() {
     static IndexScanMetrics metrics{
         obs::MetricsRegistry::Default().GetCounter("sarn.index.scans"),
         obs::MetricsRegistry::Default().GetCounter("sarn.index.scanned_queries"),
+        obs::MetricsRegistry::Default().GetCounter("sarn.index.block_queries"),
+        obs::MetricsRegistry::Default().GetCounter("sarn.index.tail_queries"),
         obs::MetricsRegistry::Default().GetHistogram("sarn.index.scan_seconds"),
     };
     return metrics;
@@ -242,6 +306,9 @@ std::vector<std::vector<Neighbor>> EmbeddingIndex::QueryBatch(
   IndexScanMetrics& scan_metrics = IndexScanMetrics::Get();
   scan_metrics.scans.Increment();
   scan_metrics.scanned_queries.Increment(b);
+  const size_t tail = b % simd::kMaxQueryBlock;
+  scan_metrics.block_queries.Increment(b - tail);
+  scan_metrics.tail_queries.Increment(tail);
   const Timer scan_timer;
   // Publishes sarn.alloc.* on exit; after the first batch of a given size the
   // pooled scratch below is all hits, so steady-state serving is
@@ -267,10 +334,6 @@ std::vector<std::vector<Neighbor>> EmbeddingIndex::QueryBatch(
   return results;
 }
 
-// One multi-query fused scan: every (query, row) score is an independent
-// fixed-order reduction (see src/tensor/simd/simd.h), so the result is
-// invariant to batch composition, query-block grouping and to how
-// ParallelFor partitions the batch.
 void EmbeddingIndex::ScanFloat(std::span<const IndexQuery> queries, int k,
                                const int64_t* excludes,
                                std::vector<std::vector<Neighbor>>* results) const {
@@ -289,43 +352,19 @@ void EmbeddingIndex::ScanFloat(std::span<const IndexQuery> queries, int k,
       if (metric_ == IndexMetric::kCosine) NormalizeRow(row, d_);
     }
   }
-  ParallelFor(
-      b,
-      [&](size_t begin, size_t end) {
-        constexpr int kBlock = simd::kMaxQueryBlock;
-        tensor::Storage tile =
-            tensor::Storage::Uninitialized(kBlock * static_cast<size_t>(kScanTile));
-        tensor::PoolVec<int32_t> cand(static_cast<size_t>(kScanTile), 0);
-        for (size_t g = begin; g < end; g += kBlock) {
-          const int qn = static_cast<int>(std::min<size_t>(kBlock, end - g));
-          TopKAccumulator accs[kBlock] = {
-              {qn > 0 ? ClampK(k, n_, excludes[g + 0]) : 0, qn > 0 ? excludes[g + 0] : -1},
-              {qn > 1 ? ClampK(k, n_, excludes[g + 1]) : 0, qn > 1 ? excludes[g + 1] : -1},
-              {qn > 2 ? ClampK(k, n_, excludes[g + 2]) : 0, qn > 2 ? excludes[g + 2] : -1},
-              {qn > 3 ? ClampK(k, n_, excludes[g + 3]) : 0, qn > 3 ? excludes[g + 3] : -1},
-          };
-          for (int64_t r0 = 0; r0 < n_; r0 += kScanTile) {
-            const int64_t rows = std::min<int64_t>(kScanTile, n_ - r0);
-            if (metric_ == IndexMetric::kCosine) {
-              simd::DotScan(q.data() + g * static_cast<size_t>(d_), qn,
-                            data_.data() + r0 * d_, rows, d_, tile.data(),
-                            kScanTile);
-            } else {
-              simd::L1Scan(q.data() + g * static_cast<size_t>(d_), qn,
-                           data_.data() + r0 * d_, rows, d_, tile.data(),
-                           kScanTile);
-            }
-            for (int qi = 0; qi < qn; ++qi) {
-              accs[qi].PushTile(tile.data() + qi * kScanTile, rows, r0,
-                                cand.data());
-            }
-          }
-          for (int qi = 0; qi < qn; ++qi) {
-            (*results)[g + qi] = accs[qi].Finish();
-          }
+  FusedScan(
+      b, n_, k, excludes,
+      [&](size_t g, int qn, int64_t r0, int64_t rows, float* tile) {
+        const float* block = q.data() + g * static_cast<size_t>(d_);
+        if (metric_ == IndexMetric::kCosine) {
+          simd::DotScan(block, qn, data_.data() + r0 * d_, rows, d_, tile,
+                        kScanTile);
+        } else {
+          simd::L1Scan(block, qn, data_.data() + r0 * d_, rows, d_, tile,
+                       kScanTile);
         }
       },
-      /*grain=*/2);
+      results);
 }
 
 void EmbeddingIndex::ScanInt8(std::span<const IndexQuery> queries, int k,
@@ -354,44 +393,19 @@ void EmbeddingIndex::ScanInt8(std::span<const IndexQuery> queries, int k,
       simd::QuantizeRowI8WithScale(query.vector.data(), d_, shared_scale_, qrow);
     }
   }
-  ParallelFor(
-      b,
-      [&](size_t begin, size_t end) {
-        constexpr int kBlock = simd::kMaxQueryBlock;
-        tensor::Storage tile =
-            tensor::Storage::Uninitialized(kBlock * static_cast<size_t>(kScanTile));
-        tensor::PoolVec<int32_t> cand(static_cast<size_t>(kScanTile), 0);
-        for (size_t g = begin; g < end; g += kBlock) {
-          const int qn = static_cast<int>(std::min<size_t>(kBlock, end - g));
-          TopKAccumulator accs[kBlock] = {
-              {qn > 0 ? ClampK(k, n_, excludes[g + 0]) : 0, qn > 0 ? excludes[g + 0] : -1},
-              {qn > 1 ? ClampK(k, n_, excludes[g + 1]) : 0, qn > 1 ? excludes[g + 1] : -1},
-              {qn > 2 ? ClampK(k, n_, excludes[g + 2]) : 0, qn > 2 ? excludes[g + 2] : -1},
-              {qn > 3 ? ClampK(k, n_, excludes[g + 3]) : 0, qn > 3 ? excludes[g + 3] : -1},
-          };
-          for (int64_t r0 = 0; r0 < n_; r0 += kScanTile) {
-            const int64_t rows = std::min<int64_t>(kScanTile, n_ - r0);
-            if (metric_ == IndexMetric::kCosine) {
-              simd::DotScanI8(q8 + g * static_cast<size_t>(d_),
-                              qscales.data() + g, qn, codes + r0 * d_,
-                              scales_.data() + r0, rows, d_, tile.data(),
-                              kScanTile);
-            } else {
-              simd::L1ScanI8(q8 + g * static_cast<size_t>(d_), qn,
-                             codes + r0 * d_, rows, d_, shared_scale_,
-                             tile.data(), kScanTile);
-            }
-            for (int qi = 0; qi < qn; ++qi) {
-              accs[qi].PushTile(tile.data() + qi * kScanTile, rows, r0,
-                                cand.data());
-            }
-          }
-          for (int qi = 0; qi < qn; ++qi) {
-            (*results)[g + qi] = accs[qi].Finish();
-          }
+  FusedScan(
+      b, n_, k, excludes,
+      [&](size_t g, int qn, int64_t r0, int64_t rows, float* tile) {
+        const int8_t* block = q8 + g * static_cast<size_t>(d_);
+        if (metric_ == IndexMetric::kCosine) {
+          simd::DotScanI8(block, qscales.data() + g, qn, codes + r0 * d_,
+                          scales_.data() + r0, rows, d_, tile, kScanTile);
+        } else {
+          simd::L1ScanI8(block, qn, codes + r0 * d_, rows, d_, shared_scale_,
+                         tile, kScanTile);
         }
       },
-      /*grain=*/2);
+      results);
 }
 
 std::vector<Neighbor> EmbeddingIndex::QueryById(int64_t query_id, int k) const {

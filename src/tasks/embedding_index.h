@@ -9,10 +9,14 @@
 // The core entry point is QueryBatch: a whole micro-batch of queries is
 // answered with one multi-query scan through the runtime-dispatched SIMD
 // kernels of src/tensor/simd/ (AVX2/NEON with a bitwise-identical scalar
-// fallback — DESIGN.md §12). The scan is fused with top-k selection: rows
-// are streamed in tiles through blocks of up to simd::kMaxQueryBlock queries
-// (each row load feeds four accumulator sets) and accumulated straight into
-// per-query top-k heaps, so no [batch, n] score matrix is ever materialised.
+// fallback — DESIGN.md §12). The scan is fused with top-k selection: the
+// batch is cut into blocks of simd::kMaxQueryBlock queries (the parallel
+// work items; each row load feeds four accumulator sets, and the batch's
+// 1–3 tail queries run a one-query, four-row kernel), rows are streamed in
+// tiles and the scores go straight into per-query top-k arrays, so no
+// [batch, n] score matrix is ever materialised. All scan scratch is drawn
+// once per batch on the calling thread, so steady-state batches are
+// pool-miss free however the blocks land on workers.
 // The classic single-shot QueryById/QueryByVector calls are thin wrappers
 // over a batch of one, so a batched answer is bitwise identical to the
 // sequential one — the serve layer (src/serve/) relies on this to batch

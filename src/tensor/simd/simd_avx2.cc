@@ -8,10 +8,12 @@
 // Reduction schedule (must match simd_scalar.cc exactly):
 //   * float: lane l accumulates j ≡ l (mod 8) ascending; horizontal combine
 //     ((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7)); ascending scalar tail.
-//   * int8 dot: |r| × sign-adjusted q through maddubs (codes are clamped to
+//   * int8 dot: |a| × sign-adjusted b through maddubs (codes are clamped to
 //     ±127 by the quantizer, so pair sums ≤ 32258 fit i16 exactly), widened
-//     to i32 — exact integers, order-free, so a full query block of four
-//     accumulators reduces jointly through one hadd tree.
+//     to i32 — exact integers, order-free, so four accumulators reduce
+//     jointly through one hadd tree. A full block of four queries shares
+//     |row| (Block4); fewer than four run one query against four rows at a
+//     time, sharing |q| (Rows4).
 //   * int8 L1: bias both sides by 0x80 and psadbw — exact integers.
 //
 // The final scale multiply stays the single float expression the scalar tier
@@ -25,8 +27,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 
 #include "tensor/simd/kernel_table.h"
+#include "tensor/simd/simd.h"
 
 namespace sarn::tensor::simd::internal {
 namespace {
@@ -113,38 +117,110 @@ inline __m128i ReduceAdd4I32(__m256i a0, __m256i a1, __m256i a2, __m256i a3) {
                        _mm256_extracti128_si256(s, 1));
 }
 
-template <int QN>
-void DotScanI8Avx2Impl(const int8_t* queries, const float* query_scales,
-                       const int8_t* rows, const float* row_scales, int64_t n,
-                       int64_t d, float* out, int64_t out_stride) {
+// Joint reduction of four 128-bit partial sums: result lane i holds the i32
+// lane sum of t_i (the SSE counterpart of ReduceAdd4I32).
+inline __m128i ReduceAdd4I32(__m128i t0, __m128i t1, __m128i t2, __m128i t3) {
+  return _mm_hadd_epi32(_mm_hadd_epi32(t0, t1), _mm_hadd_epi32(t2, t3));
+}
+
+// Columns [j, d) of q·row that the 32-byte steps leave over: one 16-byte
+// step and one 8-byte step (loadl zero-fills the high half, and zero codes
+// add nothing to the product) as i32 lanes, and the last d % 8 columns
+// scalar into *rest. Keeps a d % 32 != 0 index off a long scalar tail.
+inline __m128i DotTailI8(const int8_t* q, const int8_t* row, int64_t j,
+                         int64_t d, int32_t* rest) {
+  const __m128i ones16 = _mm_set1_epi16(1);
+  __m128i acc = _mm_setzero_si128();
+  auto step = [&](__m128i qv, __m128i rv) {
+    __m128i p16 =
+        _mm_maddubs_epi16(_mm_sign_epi8(qv, qv), _mm_sign_epi8(rv, qv));
+    acc = _mm_add_epi32(acc, _mm_madd_epi16(p16, ones16));
+  };
+  if (j + 16 <= d) {
+    step(_mm_loadu_si128(reinterpret_cast<const __m128i*>(q + j)),
+         _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j)));
+    j += 16;
+  }
+  if (j + 8 <= d) {
+    step(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + j)),
+         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + j)));
+    j += 8;
+  }
+  int32_t sum = 0;
+  for (; j < d; ++j) {
+    sum += static_cast<int32_t>(q[j]) * static_cast<int32_t>(row[j]);
+  }
+  *rest = sum;
+  return acc;
+}
+
+// One query against four rows per step — the kernel for the 1–3 queries a
+// batch leaves after its full blocks, and for batches below four. |q| rides
+// the unsigned maddubs operand and is shared by the four rows; each row
+// contributes r·sign(q) on the signed side. The four row sums reduce jointly
+// and finish with one lane-wise scale multiply and one 16-byte store.
+void DotScanI8Avx2Rows4(const int8_t* q, float q_scale, const int8_t* rows,
+                        const float* row_scales, int64_t n, int64_t d,
+                        float* out) {
   const __m256i ones16 = _mm256_set1_epi16(1);
-  for (int64_t r = 0; r < n; ++r) {
+  const __m128 qscale = _mm_set1_ps(q_scale);
+  const int64_t d32 = d & ~int64_t{31};
+  int64_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    const int8_t* row0 = rows + r * d;
+    const int8_t* row1 = row0 + d;
+    const int8_t* row2 = row0 + 2 * d;
+    const int8_t* row3 = row0 + 3 * d;
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    __m256i acc2 = _mm256_setzero_si256();
+    __m256i acc3 = _mm256_setzero_si256();
+    for (int64_t j = 0; j < d32; j += 32) {
+      __m256i qv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j));
+      __m256i aq = _mm256_sign_epi8(qv, qv);  // |q|, shared by the rows.
+      auto mac = [&](const int8_t* row, __m256i acc) {
+        __m256i rv =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j));
+        __m256i p16 = _mm256_maddubs_epi16(aq, _mm256_sign_epi8(rv, qv));
+        return _mm256_add_epi32(acc, _mm256_madd_epi16(p16, ones16));
+      };
+      acc0 = mac(row0, acc0);
+      acc1 = mac(row1, acc1);
+      acc2 = mac(row2, acc2);
+      acc3 = mac(row3, acc3);
+    }
+    __m128i sums = ReduceAdd4I32(acc0, acc1, acc2, acc3);
+    if (d32 < d) {
+      alignas(16) int32_t rest[4];
+      __m128i t0 = DotTailI8(q, row0, d32, d, &rest[0]);
+      __m128i t1 = DotTailI8(q, row1, d32, d, &rest[1]);
+      __m128i t2 = DotTailI8(q, row2, d32, d, &rest[2]);
+      __m128i t3 = DotTailI8(q, row3, d32, d, &rest[3]);
+      sums = _mm_add_epi32(
+          sums, _mm_add_epi32(ReduceAdd4I32(t0, t1, t2, t3),
+                              _mm_load_si128(reinterpret_cast<const __m128i*>(rest))));
+    }
+    _mm_storeu_ps(out + r,
+                  _mm_mul_ps(_mm_cvtepi32_ps(sums),
+                             _mm_mul_ps(qscale, _mm_loadu_ps(row_scales + r))));
+  }
+  for (; r < n; ++r) {
     const int8_t* row = rows + r * d;
-    __m256i acc[QN];
-    for (int qi = 0; qi < QN; ++qi) acc[qi] = _mm256_setzero_si256();
-    int64_t j = 0;
-    for (; j + 32 <= d; j += 32) {
-      __m256i rv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j));
-      for (int qi = 0; qi < QN; ++qi) {
-        __m256i qv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-            queries + static_cast<int64_t>(qi) * d + j));
-        // Signed×signed via the unsigned×signed maddubs: |q| × (r·sign(q)).
-        __m256i aq = _mm256_sign_epi8(qv, qv);
-        __m256i sr = _mm256_sign_epi8(rv, qv);
-        __m256i p16 = _mm256_maddubs_epi16(aq, sr);
-        acc[qi] = _mm256_add_epi32(acc[qi], _mm256_madd_epi16(p16, ones16));
-      }
+    __m256i acc = _mm256_setzero_si256();
+    for (int64_t j = 0; j < d32; j += 32) {
+      __m256i qv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j));
+      __m256i rv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j));
+      __m256i p16 =
+          _mm256_maddubs_epi16(_mm256_sign_epi8(qv, qv), _mm256_sign_epi8(rv, qv));
+      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(p16, ones16));
     }
-    for (int qi = 0; qi < QN; ++qi) {
-      const int8_t* q = queries + static_cast<int64_t>(qi) * d;
-      int32_t sum = ReduceAddI32(acc[qi]);
-      for (int64_t t = j; t < d; ++t) {
-        sum += static_cast<int32_t>(q[t]) * static_cast<int32_t>(row[t]);
-      }
-      out[static_cast<int64_t>(qi) * out_stride + r] =
-          static_cast<float>(sum) * (query_scales[qi] * row_scales[r]);
+    int32_t sum = ReduceAddI32(acc);
+    if (d32 < d) {
+      int32_t rest = 0;
+      __m128i t = DotTailI8(q, row, d32, d, &rest);
+      sum += ReduceAddI32(_mm256_set_m128i(_mm_setzero_si128(), t)) + rest;
     }
+    out[r] = static_cast<float>(sum) * (q_scale * row_scales[r]);
   }
 }
 
@@ -186,69 +262,120 @@ void DotScanI8Avx2Block4(const int8_t* queries, const float* query_scales,
       acc3 = mac(q3, acc3);
     }
     __m128i sums = ReduceAdd4I32(acc0, acc1, acc2, acc3);
-    if (j == d) {
-      __m128 res = _mm_mul_ps(_mm_cvtepi32_ps(sums),
-                              _mm_mul_ps(qscale4, _mm_set1_ps(row_scales[r])));
-      alignas(16) float r4[4];
-      _mm_store_ps(r4, res);
-      out[r] = r4[0];
-      out[out_stride + r] = r4[1];
-      out[2 * out_stride + r] = r4[2];
-      out[3 * out_stride + r] = r4[3];
-    } else {
-      alignas(16) int32_t s4[4];
-      _mm_store_si128(reinterpret_cast<__m128i*>(s4), sums);
-      for (int qi = 0; qi < 4; ++qi) {
-        const int8_t* q = queries + static_cast<int64_t>(qi) * d;
-        int32_t sum = s4[qi];
-        for (int64_t t = j; t < d; ++t) {
-          sum += static_cast<int32_t>(q[t]) * static_cast<int32_t>(row[t]);
-        }
-        out[static_cast<int64_t>(qi) * out_stride + r] =
-            static_cast<float>(sum) * (query_scales[qi] * row_scales[r]);
-      }
+    if (j < d) {
+      alignas(16) int32_t rest[4];
+      __m128i t0 = DotTailI8(q0, row, j, d, &rest[0]);
+      __m128i t1 = DotTailI8(q1, row, j, d, &rest[1]);
+      __m128i t2 = DotTailI8(q2, row, j, d, &rest[2]);
+      __m128i t3 = DotTailI8(q3, row, j, d, &rest[3]);
+      sums = _mm_add_epi32(
+          sums, _mm_add_epi32(ReduceAdd4I32(t0, t1, t2, t3),
+                              _mm_load_si128(reinterpret_cast<const __m128i*>(rest))));
     }
+    __m128 res = _mm_mul_ps(_mm_cvtepi32_ps(sums),
+                            _mm_mul_ps(qscale4, _mm_set1_ps(row_scales[r])));
+    alignas(16) float r4[4];
+    _mm_store_ps(r4, res);
+    out[r] = r4[0];
+    out[out_stride + r] = r4[1];
+    out[2 * out_stride + r] = r4[2];
+    out[3 * out_stride + r] = r4[3];
   }
 }
 
-inline int64_t ReduceAddI64(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi64(lo, hi);
-  return _mm_cvtsi128_si64(s) +
-         _mm_cvtsi128_si64(_mm_srli_si128(s, 8));
+// L1 counterpart of DotTailI8: the same 16- and 8-byte steps through the
+// biased psadbw (the zero-filled high half biases to 0x80 on both sides and
+// adds nothing); the sums sit in the low i32 halves of the two 64-bit lanes,
+// so an i32 lane reduction adds them exactly.
+inline __m128i L1TailI8(const int8_t* q, const int8_t* row, int64_t j,
+                        int64_t d, int32_t* rest) {
+  const __m128i bias = _mm_set1_epi8(static_cast<char>(0x80));
+  __m128i acc = _mm_setzero_si128();
+  auto step = [&](__m128i qv, __m128i rv) {
+    acc = _mm_add_epi32(acc, _mm_sad_epu8(_mm_xor_si128(qv, bias),
+                                          _mm_xor_si128(rv, bias)));
+  };
+  if (j + 16 <= d) {
+    step(_mm_loadu_si128(reinterpret_cast<const __m128i*>(q + j)),
+         _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j)));
+    j += 16;
+  }
+  if (j + 8 <= d) {
+    step(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + j)),
+         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(row + j)));
+    j += 8;
+  }
+  int32_t sum = 0;
+  for (; j < d; ++j) {
+    sum += std::abs(static_cast<int32_t>(q[j]) - static_cast<int32_t>(row[j]));
+  }
+  *rest = sum;
+  return acc;
 }
 
-template <int QN>
-void L1ScanI8Avx2Impl(const int8_t* queries, const int8_t* rows, int64_t n,
-                      int64_t d, float scale, float* out, int64_t out_stride) {
+// L1 counterpart of DotScanI8Avx2Rows4: the biased query chunk is shared by
+// four rows, psadbw sums accumulate in 32-bit lanes (exact below 2^31, as
+// in L1ScanI8Avx2Block4), and the four row sums reduce jointly.
+void L1ScanI8Avx2Rows4(const int8_t* q, const int8_t* rows, int64_t n,
+                       int64_t d, float scale, float* out) {
   const __m256i bias = _mm256_set1_epi8(static_cast<char>(0x80));
-  for (int64_t r = 0; r < n; ++r) {
+  // acc * -scale is bitwise -(acc * scale): only the sign bit differs.
+  const __m128 neg_scale = _mm_set1_ps(-scale);
+  const int64_t d32 = d & ~int64_t{31};
+  int64_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    const int8_t* row0 = rows + r * d;
+    const int8_t* row1 = row0 + d;
+    const int8_t* row2 = row0 + 2 * d;
+    const int8_t* row3 = row0 + 3 * d;
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    __m256i acc2 = _mm256_setzero_si256();
+    __m256i acc3 = _mm256_setzero_si256();
+    for (int64_t j = 0; j < d32; j += 32) {
+      __m256i qv = _mm256_xor_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j)), bias);
+      auto sad = [&](const int8_t* row, __m256i acc) {
+        __m256i rv = _mm256_xor_si256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j)),
+            bias);
+        return _mm256_add_epi32(acc, _mm256_sad_epu8(qv, rv));
+      };
+      acc0 = sad(row0, acc0);
+      acc1 = sad(row1, acc1);
+      acc2 = sad(row2, acc2);
+      acc3 = sad(row3, acc3);
+    }
+    __m128i sums = ReduceAdd4I32(acc0, acc1, acc2, acc3);
+    if (d32 < d) {
+      alignas(16) int32_t rest[4];
+      __m128i t0 = L1TailI8(q, row0, d32, d, &rest[0]);
+      __m128i t1 = L1TailI8(q, row1, d32, d, &rest[1]);
+      __m128i t2 = L1TailI8(q, row2, d32, d, &rest[2]);
+      __m128i t3 = L1TailI8(q, row3, d32, d, &rest[3]);
+      sums = _mm_add_epi32(
+          sums, _mm_add_epi32(ReduceAdd4I32(t0, t1, t2, t3),
+                              _mm_load_si128(reinterpret_cast<const __m128i*>(rest))));
+    }
+    _mm_storeu_ps(out + r, _mm_mul_ps(_mm_cvtepi32_ps(sums), neg_scale));
+  }
+  for (; r < n; ++r) {
     const int8_t* row = rows + r * d;
-    __m256i acc[QN];
-    for (int qi = 0; qi < QN; ++qi) acc[qi] = _mm256_setzero_si256();
-    int64_t j = 0;
-    for (; j + 32 <= d; j += 32) {
+    __m256i acc = _mm256_setzero_si256();
+    for (int64_t j = 0; j < d32; j += 32) {
+      __m256i qv = _mm256_xor_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j)), bias);
       __m256i rv = _mm256_xor_si256(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j)), bias);
-      for (int qi = 0; qi < QN; ++qi) {
-        __m256i qv = _mm256_xor_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                queries + static_cast<int64_t>(qi) * d + j)),
-            bias);
-        acc[qi] = _mm256_add_epi64(acc[qi], _mm256_sad_epu8(qv, rv));
-      }
+      acc = _mm256_add_epi32(acc, _mm256_sad_epu8(qv, rv));
     }
-    for (int qi = 0; qi < QN; ++qi) {
-      const int8_t* q = queries + static_cast<int64_t>(qi) * d;
-      int64_t sum = ReduceAddI64(acc[qi]);
-      for (int64_t t = j; t < d; ++t) {
-        sum += std::abs(static_cast<int32_t>(q[t]) -
-                        static_cast<int32_t>(row[t]));
-      }
-      out[static_cast<int64_t>(qi) * out_stride + r] =
-          -(static_cast<float>(sum) * scale);
+    int32_t sum = ReduceAddI32(acc);
+    if (d32 < d) {
+      int32_t rest = 0;
+      __m128i t = L1TailI8(q, row, d32, d, &rest);
+      sum += ReduceAddI32(_mm256_set_m128i(_mm_setzero_si128(), t)) + rest;
     }
+    out[r] = -(static_cast<float>(sum) * scale);
   }
 }
 
@@ -288,28 +415,23 @@ void L1ScanI8Avx2Block4(const int8_t* queries, const int8_t* rows, int64_t n,
       acc3 = sad(q3, acc3);
     }
     __m128i sums = ReduceAdd4I32(acc0, acc1, acc2, acc3);
-    if (j == d) {
-      __m128 res = _mm_mul_ps(_mm_cvtepi32_ps(sums), neg_scale);
-      alignas(16) float r4[4];
-      _mm_store_ps(r4, res);
-      out[r] = r4[0];
-      out[out_stride + r] = r4[1];
-      out[2 * out_stride + r] = r4[2];
-      out[3 * out_stride + r] = r4[3];
-    } else {
-      alignas(16) int32_t s4[4];
-      _mm_store_si128(reinterpret_cast<__m128i*>(s4), sums);
-      for (int qi = 0; qi < 4; ++qi) {
-        const int8_t* q = queries + static_cast<int64_t>(qi) * d;
-        int64_t sum = s4[qi];
-        for (int64_t t = j; t < d; ++t) {
-          sum += std::abs(static_cast<int32_t>(q[t]) -
-                          static_cast<int32_t>(row[t]));
-        }
-        out[static_cast<int64_t>(qi) * out_stride + r] =
-            -(static_cast<float>(sum) * scale);
-      }
+    if (j < d) {
+      alignas(16) int32_t rest[4];
+      __m128i t0 = L1TailI8(q0, row, j, d, &rest[0]);
+      __m128i t1 = L1TailI8(q1, row, j, d, &rest[1]);
+      __m128i t2 = L1TailI8(q2, row, j, d, &rest[2]);
+      __m128i t3 = L1TailI8(q3, row, j, d, &rest[3]);
+      sums = _mm_add_epi32(
+          sums, _mm_add_epi32(ReduceAdd4I32(t0, t1, t2, t3),
+                              _mm_load_si128(reinterpret_cast<const __m128i*>(rest))));
     }
+    __m128 res = _mm_mul_ps(_mm_cvtepi32_ps(sums), neg_scale);
+    alignas(16) float r4[4];
+    _mm_store_ps(r4, res);
+    out[r] = r4[0];
+    out[out_stride + r] = r4[1];
+    out[2 * out_stride + r] = r4[2];
+    out[3 * out_stride + r] = r4[3];
   }
 }
 
@@ -360,33 +482,27 @@ void L1ScanAvx2(const float* queries, int qn, const float* rows, int64_t n,
 void DotScanI8Avx2(const int8_t* queries, const float* query_scales, int qn,
                    const int8_t* rows, const float* row_scales, int64_t n,
                    int64_t d, float* out, int64_t out_stride) {
-  switch (qn) {
-    case 1:
-      DotScanI8Avx2Impl<1>(queries, query_scales, rows, row_scales, n, d, out,
-                           out_stride);
-      break;
-    case 2:
-      DotScanI8Avx2Impl<2>(queries, query_scales, rows, row_scales, n, d, out,
-                           out_stride);
-      break;
-    case 3:
-      DotScanI8Avx2Impl<3>(queries, query_scales, rows, row_scales, n, d, out,
-                           out_stride);
-      break;
-    default:
-      DotScanI8Avx2Block4(queries, query_scales, rows, row_scales, n, d, out,
-                          out_stride);
-      break;
+  if (qn == kMaxQueryBlock) {
+    DotScanI8Avx2Block4(queries, query_scales, rows, row_scales, n, d, out,
+                        out_stride);
+    return;
+  }
+  for (int qi = 0; qi < qn; ++qi) {
+    DotScanI8Avx2Rows4(queries + static_cast<int64_t>(qi) * d,
+                       query_scales[qi], rows, row_scales, n, d,
+                       out + static_cast<int64_t>(qi) * out_stride);
   }
 }
 
 void L1ScanI8Avx2(const int8_t* queries, int qn, const int8_t* rows, int64_t n,
                   int64_t d, float scale, float* out, int64_t out_stride) {
-  switch (qn) {
-    case 1: L1ScanI8Avx2Impl<1>(queries, rows, n, d, scale, out, out_stride); break;
-    case 2: L1ScanI8Avx2Impl<2>(queries, rows, n, d, scale, out, out_stride); break;
-    case 3: L1ScanI8Avx2Impl<3>(queries, rows, n, d, scale, out, out_stride); break;
-    default: L1ScanI8Avx2Block4(queries, rows, n, d, scale, out, out_stride); break;
+  if (qn == kMaxQueryBlock) {
+    L1ScanI8Avx2Block4(queries, rows, n, d, scale, out, out_stride);
+    return;
+  }
+  for (int qi = 0; qi < qn; ++qi) {
+    L1ScanI8Avx2Rows4(queries + static_cast<int64_t>(qi) * d, rows, n, d,
+                      scale, out + static_cast<int64_t>(qi) * out_stride);
   }
 }
 

@@ -234,5 +234,50 @@ TEST(EmbeddingIndexTest, QueryBatchBitwiseInvariantToThreadCount) {
   }
 }
 
+// Every split of a batch into full 4-query blocks and a 1–3 query tail
+// (b = 1..9 and 17) answers each query bitwise identically to asking it
+// alone, at both precisions and metrics, on 1 and 4 threads. d = 24 runs
+// the int8 kernels' 16- and 8-byte tail steps and d = 64 their 32-byte
+// steps only; 1031 rows end the last tile on a 4-row remainder.
+TEST(EmbeddingIndexTest, EveryBlockTailSplitMatchesSingleQueries) {
+  const int64_t n = 1031;
+  const int batch_sizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17};
+  const size_t saved = GetParallelThreads();
+  for (int64_t d : {24, 64}) {
+    Rng rng(static_cast<uint64_t>(d));
+    Tensor embeddings = Tensor::Randn({n, d}, rng);
+    for (IndexPrecision precision :
+         {IndexPrecision::kFloat32, IndexPrecision::kInt8}) {
+      for (IndexMetric metric : {IndexMetric::kCosine, IndexMetric::kL1}) {
+        EmbeddingIndex index(embeddings, metric, precision);
+        for (size_t threads : {1, 4}) {
+          SetParallelThreads(threads);
+          for (int b : batch_sizes) {
+            std::vector<IndexQuery> queries =
+                MixedQueries(n, d, b, static_cast<uint64_t>(b));
+            std::vector<std::vector<Neighbor>> batched =
+                index.QueryBatch(queries, 7);
+            ASSERT_EQ(batched.size(), queries.size());
+            for (int i = 0; i < b; ++i) {
+              std::vector<std::vector<Neighbor>> alone =
+                  index.QueryBatch({&queries[i], 1}, 7);
+              ASSERT_EQ(batched[i].size(), alone[0].size());
+              for (size_t j = 0; j < alone[0].size(); ++j) {
+                EXPECT_EQ(batched[i][j].id, alone[0][j].id)
+                    << PrecisionName(precision) << " d=" << d << " b=" << b
+                    << " threads=" << threads << " query " << i;
+                EXPECT_EQ(batched[i][j].score, alone[0][j].score)
+                    << PrecisionName(precision) << " d=" << d << " b=" << b
+                    << " threads=" << threads << " query " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  SetParallelThreads(saved);
+}
+
 }  // namespace
 }  // namespace sarn::tasks

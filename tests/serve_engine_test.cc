@@ -11,6 +11,8 @@
 
 #include "common/rng.h"
 #include "geo/spatial_index.h"
+#include "obs/metrics.h"
+#include "obs/prom_export.h"
 #include "obs/request_trace.h"
 #include "tasks/embedding_index.h"
 #include "tensor/tensor.h"
@@ -473,6 +475,32 @@ TEST(QueryEngineTraceTest, StatsIncludesSnapshotAndTierGauges) {
   // The snapshot.* fields mirror the process-wide registry; no snapshot was
   // loaded in this test binary, so they are present-but-zero.
   EXPECT_EQ(stats.snapshot_load_errors, 0u);
+}
+
+// sarn.index.block_queries / tail_queries split every scanned query into
+// the ones that ran in a full 4-query block and a batch's 1–3 tail queries;
+// stats and the Prometheus export both carry them.
+TEST(QueryEngineTraceTest, StatsCountBlockAndTailQueries) {
+  auto index = MakeIndex(25);
+  QueryEngine engine(index, nullptr, Synchronous());
+  const ServeStats before = engine.Stats();
+  ASSERT_TRUE(engine.Query(ById(3)).ok);  // A cache miss: a batch of one.
+  std::vector<tasks::IndexQuery> batch;
+  for (int64_t id = 0; id < 6; ++id) batch.push_back(tasks::IndexQuery::ById(id));
+  index->QueryBatch(batch, 5);  // One full block and a 2-query tail.
+  const ServeStats after = engine.Stats();
+  EXPECT_EQ(after.index_block_queries - before.index_block_queries, 4u);
+  EXPECT_EQ(after.index_tail_queries - before.index_tail_queries, 3u);
+  const std::string text =
+      obs::PrometheusText(obs::MetricsRegistry::Default().Snapshot());
+  EXPECT_NE(text.find("# TYPE sarn_index_block_queries counter\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("sarn_index_block_queries " +
+                      std::to_string(after.index_block_queries) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("sarn_index_tail_queries " +
+                      std::to_string(after.index_tail_queries) + "\n"),
+            std::string::npos);
 }
 
 }  // namespace

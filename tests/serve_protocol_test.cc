@@ -154,6 +154,18 @@ TEST(ServeProtocolTest, StatsLineCarriesSnapshotLoadTelemetry) {
   EXPECT_NE(line.find("\"copied_bytes\":96"), std::string::npos);
 }
 
+TEST(ServeProtocolTest, StatsLineCarriesIndexBlockAndTailQueries) {
+  ServeStats stats;
+  stats.index_block_queries = 12;
+  stats.index_tail_queries = 3;
+  std::string line = FormatStatsLine(0, stats);
+  std::string json_error;
+  EXPECT_TRUE(obs::JsonValid(line, &json_error)) << line << ": " << json_error;
+  EXPECT_NE(line.find("\"index\":{\"block_queries\":12,\"tail_queries\":3}"),
+            std::string::npos)
+      << line;
+}
+
 TEST(ServeProtocolTest, StatszLineIsValidJsonWithStagesAndRecords) {
   ServeTraceStats stats;
   stats.enabled = true;

@@ -55,8 +55,10 @@ std::vector<Tier> AvailableTiers() {
 // Dimensions covering: sub-width rows, exactly one vector width, a tail of
 // every residue class, and multi-width rows.
 const int64_t kDims[] = {1, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 100};
-// Row counts covering empty-ish scans and AVX2's 4-row unrolls with tails.
-const int64_t kRowCounts[] = {1, 2, 7, 33};
+// Row counts covering empty-ish scans, the 4-row kernels' remainders (1–3
+// rows left over after whole steps of four) and more rows than one
+// 1024-row scan tile.
+const int64_t kRowCounts[] = {1, 2, 4, 5, 7, 33, 1027};
 
 TEST(SimdDispatchTest, TierNamesAreStable) {
   EXPECT_STREQ(TierName(Tier::kScalar), "scalar");
@@ -128,6 +130,46 @@ TEST(SimdKernelsTest, FloatScansRespectOutStride) {
       }
       for (int64_t r = n; r < stride; ++r) {
         EXPECT_EQ(strided[qi * stride + r], -1.0f) << "stride padding clobbered";
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, Int8ScansRespectOutStride) {
+  Rng rng(17);
+  TierGuard guard;
+  const int64_t n = 5, stride = 9;
+  for (int64_t d : {24, 64}) {
+    for (int qn = 1; qn <= kMaxQueryBlock; ++qn) {
+      std::vector<int8_t> queries = RandomInt8(rng, qn * d);
+      std::vector<int8_t> rows = RandomInt8(rng, n * d);
+      std::vector<float> qscales(qn, 0.05f), rscales(n, 0.02f);
+      for (Tier tier : AvailableTiers()) {
+        ForceTier(tier);
+        std::vector<float> dot(qn * n), l1(qn * n);
+        std::vector<float> dot_strided(qn * stride, -1.0f);
+        std::vector<float> l1_strided(qn * stride, -1.0f);
+        DotScanI8(queries.data(), qscales.data(), qn, rows.data(),
+                  rscales.data(), n, d, dot.data(), n);
+        DotScanI8(queries.data(), qscales.data(), qn, rows.data(),
+                  rscales.data(), n, d, dot_strided.data(), stride);
+        L1ScanI8(queries.data(), qn, rows.data(), n, d, 0.03f, l1.data(), n);
+        L1ScanI8(queries.data(), qn, rows.data(), n, d, 0.03f,
+                 l1_strided.data(), stride);
+        for (int qi = 0; qi < qn; ++qi) {
+          for (int64_t r = 0; r < n; ++r) {
+            EXPECT_EQ(dot_strided[qi * stride + r], dot[qi * n + r]);
+            EXPECT_EQ(l1_strided[qi * stride + r], l1[qi * n + r]);
+          }
+          for (int64_t r = n; r < stride; ++r) {
+            EXPECT_EQ(dot_strided[qi * stride + r], -1.0f)
+                << "DotScanI8 stride padding clobbered, tier="
+                << TierName(tier) << " d=" << d << " qn=" << qn;
+            EXPECT_EQ(l1_strided[qi * stride + r], -1.0f)
+                << "L1ScanI8 stride padding clobbered, tier="
+                << TierName(tier) << " d=" << d << " qn=" << qn;
+          }
+        }
       }
     }
   }

@@ -11,9 +11,16 @@
 #   4. the query-serving suite (ctest -L serve: batch index equivalence,
 #      engine hot-swap, NDJSON protocol, CLI flags) plus a serve smoke: three
 #      NDJSON queries and a statsz introspection line piped through
-#      `sarn serve` (with --prom-file exposition written and grepped), output
+#      `sarn serve` (with --prom-file exposition written and grepped, the
+#      index block/tail query counters included), output
 #      validated with check-json, run once at float32 and once with
 #      --quantized, plus a `sarn metrics-export` Prometheus smoke;
+#      after the serve suite, a stress stage: the two steady-state
+#      allocation pins (EmbeddingIndexTest.QueryBatchBuildsNoTapeNodesAndNo-
+#      SteadyStateAllocs, QuantizedIndexTest.SteadyStateQueriesAreAllocation-
+#      Free) run 50 times back to back, and the serve label runs 20 times
+#      under ctest -j$(nproc), so an invariant that holds only under some
+#      thread schedules fails here instead of as a rare flake;
 #   5. the SIMD suite (ctest -L simd: scalar-vs-vector bitwise identity,
 #      int8 kernel exactness, quantized recall@10 gate) in the default build,
 #      then again in a -DSARN_NO_SIMD=ON build (build-nosimd) to prove the
@@ -91,6 +98,13 @@ if [[ "$mode" != "--tsan-only" ]]; then
   # Query-serving suite: batch/sequential bitwise equivalence, cache + epoch
   # hot-swap semantics, protocol fuzz cases, flag registry.
   (cd build && ctest --output-on-failure -L serve)
+  # Stress: the pool-miss pins must hold on every schedule, not just most.
+  build/tests/embedding_index_test --gtest_repeat=50 --gtest_brief=1 \
+    --gtest_filter=EmbeddingIndexTest.QueryBatchBuildsNoTapeNodesAndNoSteadyStateAllocs
+  build/tests/quantized_index_test --gtest_repeat=50 --gtest_brief=1 \
+    --gtest_filter=QuantizedIndexTest.SteadyStateQueriesAreAllocationFree
+  (cd build && ctest --output-on-failure -L serve --repeat until-fail:20 \
+    -j"$jobs")
   # Serve smoke: NDJSON in, validated NDJSON out, one ok:true per query.
   serve_dir="build/verify_serve"
   rm -rf "$serve_dir" && mkdir -p "$serve_dir"
@@ -136,6 +150,17 @@ if [[ "$mode" != "--tsan-only" ]]; then
   if ! grep -q '^# TYPE sarn_serve_stage_scan_seconds histogram$' \
       "$serve_dir/metrics.prom"; then
     echo "verify: --prom-file exposition missing stage histograms" >&2
+    exit 1
+  fi
+  # Block/tail query split of the index scans: two queries, so both ran
+  # as tail queries, in stats and in the exposition.
+  if ! grep -q '"index":{"block_queries":0,"tail_queries":2}' \
+      "$serve_dir/responses.ndjson"; then
+    echo "verify: serve stats is missing the index block/tail counters" >&2
+    exit 1
+  fi
+  if ! grep -q '^sarn_index_tail_queries 2$' "$serve_dir/metrics.prom"; then
+    echo "verify: --prom-file exposition missing sarn_index_tail_queries" >&2
     exit 1
   fi
   # Same smoke at int8: the quantized index must serve the same protocol and
