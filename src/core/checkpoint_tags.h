@@ -1,12 +1,11 @@
-// Section names and the variant tag of SARN training checkpoints.
+// Section names and the variant tag of SARN weights files and training
+// checkpoints (both section sets of the one arena, snapshot/arena.h).
 //
-// Every checkpoint written since the pluggable plane landed carries a
-// "sarn/variant" section naming the encoder / augmentation / negative-sampler
-// combo that produced it. Restores check this tag BEFORE parsing any tensor
-// section, so loading a checkpoint into a differently-composed model fails
-// with a typed error naming both combos instead of a downstream shape
-// mismatch. Checkpoints from before the plane have no tag; they are accepted
-// and guarded only by the tensor shape checks (legacy behaviour).
+// Every such file carries a "sarn/variant" section naming the encoder /
+// augmentation / negative-sampler combo that produced it. The section is
+// required, and restores check the tag BEFORE parsing any tensor section, so
+// loading a file into a differently-composed model fails with a typed error
+// naming both combos instead of a downstream shape mismatch.
 
 #ifndef SARN_CORE_CHECKPOINT_TAGS_H_
 #define SARN_CORE_CHECKPOINT_TAGS_H_
@@ -17,7 +16,8 @@
 
 namespace sarn::core {
 
-// Training-checkpoint section names.
+// Section names. A weights file holds kSectionVariant and kSectionOnline; a
+// training checkpoint holds all eight.
 inline constexpr char kSectionOnline[] = "sarn/online";
 inline constexpr char kSectionTarget[] = "sarn/target";
 inline constexpr char kSectionOptimizer[] = "sarn/optimizer";

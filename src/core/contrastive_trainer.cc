@@ -11,6 +11,7 @@
 #include "common/timer.h"
 #include "core/checkpoint_tags.h"
 #include "core/sarn_model.h"
+#include "nn/serialization.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
@@ -110,35 +111,40 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
 
   TrainStats stats;
   Progress progress;
-  bool checkpointing = !options.checkpoint_dir.empty();
+  const bool checkpointing = !options.checkpoint_dir.empty();
+  std::vector<std::pair<int, std::string>> found;
   if (checkpointing) {
+    // A run asked to checkpoint never trains without: an unusable directory
+    // aborts before the first epoch.
     std::error_code ec;
     std::filesystem::create_directories(options.checkpoint_dir, ec);
-    if (ec) {
-      SARN_LOG(Error) << "cannot create checkpoint dir " << options.checkpoint_dir
-                      << ": " << ec.message() << "; training without checkpoints";
-      checkpointing = false;
+    snapshot::SnapshotStatus listed = nn::ListCheckpoints(options.checkpoint_dir, &found);
+    if (!listed.ok()) {
+      stats.aborted = true;
+      stats.abort_reason = "unusable checkpoint dir: " + listed.message;
+      SARN_LOG(Error) << "training aborted: " << stats.abort_reason;
+      return stats;
     }
   }
-  if (checkpointing && options.resume) {
+  if (options.resume) {
     // Newest first; every skipped or restored file becomes a structured
     // checkpoint lifecycle event (log line + registry counter + sink).
-    for (const auto& [ckpt_epoch, path] : nn::ListCheckpoints(options.checkpoint_dir)) {
+    for (const auto& [ckpt_epoch, path] : found) {
       obs::CheckpointEvent event;
       event.path = path;
       event.epoch = ckpt_epoch;
-      nn::TrainingCheckpoint ckpt;
       Timer load_timer;
-      nn::CheckpointStatus status = nn::LoadCheckpoint(path, &ckpt);
+      std::shared_ptr<const snapshot::MappedSnapshot> arena;
+      snapshot::SnapshotStatus status = snapshot::MappedSnapshot::Map(path, {}, &arena);
       if (!status.ok()) {
         event.action = obs::CheckpointEvent::Action::kSkippedCorrupt;
-        event.detail = std::string(nn::CheckpointErrorName(status.error)) + ": " +
+        event.detail = std::string(snapshot::SnapshotErrorName(status.error)) + ": " +
                        status.message;
         obs::RecordCheckpointEvent(options.metrics_sink, event);
         continue;
       }
       std::string detail;
-      if (!ApplyCheckpoint(ckpt, optimizer, schedule, rng, progress, &detail)) {
+      if (!ApplyCheckpoint(*arena, optimizer, schedule, rng, progress, &detail)) {
         event.action = obs::CheckpointEvent::Action::kSkippedMismatch;
         event.detail = detail;
         obs::RecordCheckpointEvent(options.metrics_sink, event);
@@ -146,7 +152,7 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
       }
       event.action = obs::CheckpointEvent::Action::kResumedFrom;
       event.epoch = progress.next_epoch;
-      event.bytes = FileSizeOrZero(path);
+      event.bytes = static_cast<int64_t>(arena->file_bytes());
       event.seconds = load_timer.ElapsedSeconds();
       obs::RecordCheckpointEvent(options.metrics_sink, event);
       stats.resumed_from_epoch = progress.next_epoch;
@@ -346,7 +352,7 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
       std::string path = options.checkpoint_dir + "/" +
                          nn::CheckpointFileName(progress.next_epoch);
       Timer write_timer;
-      nn::CheckpointStatus status = nn::SaveCheckpoint(
+      snapshot::SnapshotStatus status = snapshot::WriteSnapshotFile(
           path, BuildCheckpoint(optimizer, schedule, rng, progress));
       obs::CheckpointEvent event;
       event.path = path;
@@ -361,7 +367,7 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
         nn::PruneCheckpoints(options.checkpoint_dir, options.keep_last);
       } else {
         event.action = obs::CheckpointEvent::Action::kWriteFailed;
-        event.detail = std::string(nn::CheckpointErrorName(status.error)) + ": " +
+        event.detail = std::string(snapshot::SnapshotErrorName(status.error)) + ": " +
                        status.message;
         obs::RecordCheckpointEvent(options.metrics_sink, event);
       }
@@ -414,37 +420,36 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
   return stats;
 }
 
-nn::TrainingCheckpoint ContrastiveTrainer::BuildCheckpoint(
+std::string ContrastiveTrainer::BuildCheckpoint(
     const tensor::Adam& optimizer, const tensor::CosineAnnealingSchedule& schedule,
     const Rng& rng, const Progress& progress) const {
-  nn::TrainingCheckpoint ckpt;
-  ByteWriter online;
-  nn::WriteTensors(online, model_->OnlineParameters());
-  ckpt.SetSection(kSectionOnline, online.Take());
+  // Each section moves straight from its ByteWriter into the arena writer,
+  // so a write peaks at two copies of the payload (sections + file image).
+  snapshot::SnapshotWriter writer;
+  model_->AddModelSections(writer);
+  auto add = [&writer](const char* name, ByteWriter& section) {
+    writer.Add(name, snapshot::SectionType::kBytes, section.Take());
+  };
 
   ByteWriter target;
   nn::WriteTensors(target, model_->TargetParameters());
-  ckpt.SetSection(kSectionTarget, target.Take());
+  add(kSectionTarget, target);
 
   ByteWriter optimizer_state;
   optimizer.SaveState(optimizer_state);
-  ckpt.SetSection(kSectionOptimizer, optimizer_state.Take());
+  add(kSectionOptimizer, optimizer_state);
 
   ByteWriter schedule_state;
   schedule.SaveState(schedule_state);
-  ckpt.SetSection(kSectionSchedule, schedule_state.Take());
+  add(kSectionSchedule, schedule_state);
 
   ByteWriter rng_state;
   rng.SaveState(rng_state);
-  ckpt.SetSection(kSectionRng, rng_state.Take());
+  add(kSectionRng, rng_state);
 
   ByteWriter sampler_state;
   model_->sampler_->SaveState(sampler_state);
-  ckpt.SetSection(kSectionQueues, sampler_state.Take());
-
-  ByteWriter variant;
-  WriteVariantTag(variant, model_->variant_tag_);
-  ckpt.SetSection(kSectionVariant, variant.Take());
+  add(kSectionQueues, sampler_state);
 
   ByteWriter trainer;
   trainer.PutU64(model_->config_.seed);
@@ -453,11 +458,11 @@ nn::TrainingCheckpoint ContrastiveTrainer::BuildCheckpoint(
   trainer.PutI64(progress.epochs_since_best);
   trainer.PutU64(progress.epoch_losses.size());
   for (double loss : progress.epoch_losses) trainer.PutF64(loss);
-  ckpt.SetSection(kSectionTrainer, trainer.Take());
-  return ckpt;
+  add(kSectionTrainer, trainer);
+  return writer.Finish();
 }
 
-bool ContrastiveTrainer::ApplyCheckpoint(const nn::TrainingCheckpoint& ckpt,
+bool ContrastiveTrainer::ApplyCheckpoint(const snapshot::MappedSnapshot& arena,
                                          tensor::Adam& optimizer,
                                          tensor::CosineAnnealingSchedule& schedule,
                                          Rng& rng, Progress& progress,
@@ -469,78 +474,59 @@ bool ContrastiveTrainer::ApplyCheckpoint(const nn::TrainingCheckpoint& ckpt,
     return false;
   };
 
-  // Variant compatibility first: a checkpoint from a differently-composed
-  // model is rejected by name, never via a downstream shape mismatch.
-  // Checkpoints from before the pluggable plane carry no tag and are
-  // accepted (their tensor shapes still gate the restore).
-  const std::string* variant = ckpt.FindSection(kSectionVariant);
-  if (variant != nullptr) {
-    VariantTag tag;
-    ByteReader variant_in(*variant);
-    if (!ReadVariantTag(variant_in, &tag)) {
-      return fail("checkpoint variant tag is corrupt");
-    }
-    if (tag != model_->variant_tag_) {
-      return fail("checkpoint was trained with " + VariantTagString(tag) +
-                  " but this model composes " +
-                  VariantTagString(model_->variant_tag_));
-    }
-  }
-
-  const std::string* online = ckpt.FindSection(kSectionOnline);
-  const std::string* target = ckpt.FindSection(kSectionTarget);
-  const std::string* optimizer_state = ckpt.FindSection(kSectionOptimizer);
-  const std::string* schedule_state = ckpt.FindSection(kSectionSchedule);
-  const std::string* rng_state = ckpt.FindSection(kSectionRng);
-  const std::string* sampler_state = ckpt.FindSection(kSectionQueues);
-  const std::string* trainer = ckpt.FindSection(kSectionTrainer);
-  if (!online || !target || !optimizer_state || !schedule_state || !rng_state ||
-      !sampler_state || !trainer) {
-    return fail("checkpoint is missing a required section");
-  }
-
   // Phase 1: parse and validate every section into staging; the model is
-  // not touched until all of them check out.
+  // not touched until all of them check out. The model sections go first:
+  // a checkpoint from a differently-composed model is rejected by its
+  // variant tag, never via a downstream shape mismatch.
+  std::vector<std::vector<float>> online_staged;
+  ModelLoadStatus model_status = model_->StageModelSections(arena, &online_staged);
+  if (!model_status.ok()) return fail(model_status.message);
+  for (const char* name : {kSectionTarget, kSectionOptimizer, kSectionSchedule,
+                           kSectionRng, kSectionQueues, kSectionTrainer}) {
+    if (arena.Find(name) == nullptr) {
+      return fail(arena.path() + ": no '" + name + "' section");
+    }
+  }
+  auto section = [&arena](const char* name) {
+    return ByteReader(arena.BytesOf(*arena.Find(name)));
+  };
+
   std::vector<Tensor> online_params = model_->OnlineParameters();
   std::vector<Tensor> target_params = model_->TargetParameters();
-  std::vector<std::vector<float>> online_staged, target_staged;
-  ByteReader online_in(*online);
-  nn::CheckpointStatus status = nn::ParseTensors(online_in, online_params, &online_staged);
-  if (!status.ok()) {
-    return fail("online parameters: " + status.message);
-  }
-  ByteReader target_in(*target);
-  status = nn::ParseTensors(target_in, target_params, &target_staged);
+  std::vector<std::vector<float>> target_staged;
+  ByteReader target_in = section(kSectionTarget);
+  snapshot::SnapshotStatus status =
+      nn::ParseTensors(target_in, target_params, &target_staged);
   if (!status.ok()) {
     return fail("target parameters: " + status.message);
   }
 
   tensor::Adam staged_optimizer = optimizer;
-  ByteReader optimizer_in(*optimizer_state);
+  ByteReader optimizer_in = section(kSectionOptimizer);
   if (!staged_optimizer.LoadState(optimizer_in)) {
     return fail("optimizer state does not match this model");
   }
 
   tensor::CosineAnnealingSchedule staged_schedule = schedule;
-  ByteReader schedule_in(*schedule_state);
+  ByteReader schedule_in = section(kSectionSchedule);
   if (!staged_schedule.LoadState(schedule_in)) {
     return fail("schedule state does not match this model");
   }
 
   Rng staged_rng = rng;
-  ByteReader rng_in(*rng_state);
+  ByteReader rng_in = section(kSectionRng);
   if (!staged_rng.LoadState(rng_in)) {
     return fail("rng state is corrupt");
   }
 
   std::unique_ptr<NegativeSampler> staged_sampler = model_->sampler_->Clone();
-  ByteReader sampler_in(*sampler_state);
+  ByteReader sampler_in = section(kSectionQueues);
   if (!staged_sampler->LoadState(sampler_in)) {
     return fail("negative-sampler state does not match this model");
   }
 
   Progress staged_progress;
-  ByteReader trainer_in(*trainer);
+  ByteReader trainer_in = section(kSectionTrainer);
   uint64_t seed = 0;
   int64_t next_epoch = 0;
   int64_t epochs_since_best = 0;

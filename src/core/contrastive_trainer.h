@@ -18,7 +18,7 @@
 
 #include "common/rng.h"
 #include "core/receptive_field.h"
-#include "nn/serialization.h"
+#include "snapshot/arena.h"
 #include "tensor/optimizer.h"
 
 namespace sarn::core {
@@ -45,18 +45,21 @@ class ContrastiveTrainer {
     std::vector<double> epoch_losses;
   };
 
-  /// Packs the complete training state into a checkpoint container,
-  /// including the model's variant tag.
-  nn::TrainingCheckpoint BuildCheckpoint(const tensor::Adam& optimizer,
-                                         const tensor::CosineAnnealingSchedule& schedule,
-                                         const Rng& rng, const Progress& progress) const;
+  /// Packs the complete training state into one arena (the checkpoint
+  /// section set, DESIGN.md §8): the model sections plus one kBytes section
+  /// per piece of trainer state. Returns the Finish()ed file image.
+  std::string BuildCheckpoint(const tensor::Adam& optimizer,
+                              const tensor::CosineAnnealingSchedule& schedule,
+                              const Rng& rng, const Progress& progress) const;
 
-  /// Restores the state captured by BuildCheckpoint. Atomic: every section
-  /// is parsed and validated into staging first, and the model/optimizer/
-  /// rng/sampler are only mutated once everything checks out. Returns false
-  /// when the checkpoint does not match this model, with a human-readable
-  /// reason in *detail (a variant-tag mismatch names both combos).
-  bool ApplyCheckpoint(const nn::TrainingCheckpoint& ckpt, tensor::Adam& optimizer,
+  /// Restores the state captured by BuildCheckpoint from a mapped arena.
+  /// Atomic: every section is parsed and validated into staging first, and
+  /// the model/optimizer/rng/sampler are only mutated once everything checks
+  /// out. Returns false when the checkpoint does not match this model, with
+  /// a human-readable reason in *detail (a variant-tag mismatch names both
+  /// combos).
+  bool ApplyCheckpoint(const snapshot::MappedSnapshot& arena,
+                       tensor::Adam& optimizer,
                        tensor::CosineAnnealingSchedule& schedule, Rng& rng,
                        Progress& progress, std::string* detail);
 

@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "core/contrastive_trainer.h"
 #include "core/variant_registry.h"
+#include "nn/serialization.h"
 #include "tensor/ops.h"
 
 namespace sarn::core {
@@ -145,58 +146,84 @@ std::vector<Tensor> SarnModel::FineTuneParameters() const {
   return online_encoder_->FinalLayerParameters();
 }
 
-bool SarnModel::SaveWeights(const std::string& path) const {
-  return nn::SaveParameters(path, OnlineParameters());
+void SarnModel::AddModelSections(snapshot::SnapshotWriter& writer) const {
+  ByteWriter variant;
+  WriteVariantTag(variant, variant_tag_);
+  writer.Add(kSectionVariant, snapshot::SectionType::kBytes, variant.Take());
+  ByteWriter online;
+  nn::WriteTensors(online, OnlineParameters());
+  writer.Add(kSectionOnline, snapshot::SectionType::kBytes, online.Take());
 }
 
-bool SarnModel::LoadWeights(const std::string& path) {
-  if (!nn::LoadParameters(path, OnlineParameters())) return false;
-  target_encoder_->CopyWeightsFrom(*online_encoder_);
-  target_head_->CopyWeightsFrom(*online_head_);
-  return true;
+snapshot::SnapshotStatus SarnModel::SaveWeights(const std::string& path) const {
+  snapshot::SnapshotWriter writer;
+  AddModelSections(writer);
+  return snapshot::WriteSnapshotFile(path, writer.Finish());
 }
 
-ModelLoadStatus SarnModel::LoadFromTrainingCheckpoint(const std::string& path) {
-  auto fail = [&path](ModelLoadError error, std::string message) {
-    ModelLoadStatus status;
-    status.error = error;
-    status.message = path + ": " + std::move(message);
+ModelLoadStatus SarnModel::StageModelSections(
+    const snapshot::MappedSnapshot& arena,
+    std::vector<std::vector<float>>* staged) const {
+  auto fail = [&arena](ModelLoadError error, std::string message) {
+    return ModelLoadStatus{error, arena.path() + ": " + std::move(message)};
+  };
+  for (const char* name : {kSectionOnline, kSectionVariant}) {
+    if (arena.Find(name) == nullptr) {
+      return fail(ModelLoadError::kParseError,
+                  std::string("no '") + name +
+                      "' section (not a weights file or training checkpoint)");
+    }
+  }
+  // Variant compatibility before any tensor is parsed: a mismatched combo
+  // must fail with the two combos named, never as a shape mismatch.
+  VariantTag tag;
+  ByteReader variant_in(arena.BytesOf(*arena.Find(kSectionVariant)));
+  if (!ReadVariantTag(variant_in, &tag)) {
+    return fail(ModelLoadError::kParseError, "corrupt variant tag");
+  }
+  if (tag != variant_tag_) {
+    return fail(ModelLoadError::kVariantMismatch,
+                "trained with " + VariantTagString(tag) +
+                    " but this model composes " + VariantTagString(variant_tag_));
+  }
+  ByteReader online_in(arena.BytesOf(*arena.Find(kSectionOnline)));
+  snapshot::SnapshotStatus status =
+      nn::ParseTensors(online_in, OnlineParameters(), staged);
+  if (!status.ok()) {
+    return fail(status.error == snapshot::SnapshotError::kShapeMismatch
+                    ? ModelLoadError::kArchitectureMismatch
+                    : ModelLoadError::kParseError,
+                std::string(kSectionOnline) + ": " + status.message);
+  }
+  return ModelLoadStatus{};
+}
+
+ModelLoadStatus SarnModel::LoadWeights(const std::string& path) {
+  std::shared_ptr<const snapshot::MappedSnapshot> arena;
+  const snapshot::SnapshotStatus mapped =
+      snapshot::MappedSnapshot::Map(path, {}, &arena);
+  std::vector<std::vector<float>> staged;
+  ModelLoadStatus status;
+  if (!mapped.ok()) {
+    status = {mapped.error == snapshot::SnapshotError::kIoError
+                  ? ModelLoadError::kFileNotFound
+                  : ModelLoadError::kParseError,
+              std::string("[") + snapshot::SnapshotErrorName(mapped.error) +
+                  "] " + mapped.message};
+  } else {
+    status = StageModelSections(*arena, &staged);
+  }
+  if (!status.ok()) {
     SARN_LOG(Warning) << "checkpoint " << status.message;
     return status;
-  };
-  nn::TrainingCheckpoint ckpt;
-  nn::CheckpointStatus ckpt_status = nn::LoadCheckpoint(path, &ckpt);
-  if (!ckpt_status.ok()) {
-    return fail(ModelLoadError::kParseError, ckpt_status.message);
   }
-  // Variant compatibility first: a mismatched combo must fail with the two
-  // combos named, never as a downstream tensor-shape mismatch.
-  const std::string* variant = ckpt.FindSection(kSectionVariant);
-  if (variant != nullptr) {
-    VariantTag tag;
-    ByteReader variant_in(*variant);
-    if (!ReadVariantTag(variant_in, &tag)) {
-      return fail(ModelLoadError::kParseError, "corrupt variant tag");
-    }
-    if (tag != variant_tag_) {
-      return fail(ModelLoadError::kVariantMismatch,
-                  "checkpoint was trained with " + VariantTagString(tag) +
-                      " but this model composes " + VariantTagString(variant_tag_));
-    }
-  }
-  const std::string* online = ckpt.FindSection(kSectionOnline);
-  if (online == nullptr) {
-    return fail(ModelLoadError::kParseError,
-                std::string("no ") + kSectionOnline + " section");
-  }
-  ByteReader in(*online);
-  ckpt_status = nn::ReadTensorsInto(in, OnlineParameters());
-  if (!ckpt_status.ok()) {
-    return fail(ModelLoadError::kArchitectureMismatch, ckpt_status.message);
+  std::vector<Tensor> online = OnlineParameters();
+  for (size_t i = 0; i < online.size(); ++i) {
+    online[i].mutable_data() = std::move(staged[i]);
   }
   target_encoder_->CopyWeightsFrom(*online_encoder_);
   target_head_->CopyWeightsFrom(*online_head_);
-  return ModelLoadStatus{};
+  return status;
 }
 
 std::vector<Tensor> SarnModel::OnlineParameters() const {
@@ -280,7 +307,7 @@ ModelLoadResult LoadCheckpointSource(const ModelLoadSource& source) {
     return LoadFail(ModelLoadError::kFileNotFound, "cannot open " + source.path);
   }
   auto model = std::make_unique<SarnModel>(*source.network, source.config);
-  ModelLoadStatus status = model->LoadFromTrainingCheckpoint(source.path);
+  ModelLoadStatus status = model->LoadWeights(source.path);
   if (!status.ok()) {
     return LoadFail(status.error, status.message);
   }
@@ -302,7 +329,7 @@ ModelLoadResult SarnModel::Load(const ModelLoadSource& source) {
     if (PathEndsWith(source.path, ".sarnsnap")) {
       kind = ModelLoadSource::Kind::kSnapshot;
     } else if (PathEndsWith(source.path, ".sarnckpt")) {
-      kind = ModelLoadSource::Kind::kTrainingCheckpoint;
+      kind = ModelLoadSource::Kind::kCheckpoint;
     } else {
       kind = ModelLoadSource::Kind::kEmbeddingsCsv;
     }
@@ -310,7 +337,7 @@ ModelLoadResult SarnModel::Load(const ModelLoadSource& source) {
   switch (kind) {
     case ModelLoadSource::Kind::kEmbeddingsCsv:
       return LoadEmbeddingsCsvSource(source.path);
-    case ModelLoadSource::Kind::kTrainingCheckpoint:
+    case ModelLoadSource::Kind::kCheckpoint:
       return LoadCheckpointSource(source);
     case ModelLoadSource::Kind::kSnapshot:
       if (g_snapshot_loader == nullptr) {

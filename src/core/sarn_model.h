@@ -31,10 +31,10 @@
 #include "nn/embedding.h"
 #include "nn/gat.h"
 #include "nn/projection_head.h"
-#include "nn/serialization.h"
 #include "obs/metrics_sink.h"
 #include "roadnet/features.h"
 #include "roadnet/road_network.h"
+#include "snapshot/arena.h"
 #include "tensor/optimizer.h"
 #include "tensor/tensor.h"
 
@@ -54,7 +54,8 @@ struct TrainStats {
   /// True when training stopped because a loss or gradient norm went
   /// non-finite; abort_reason carries the diagnostic. The model keeps the
   /// last finite parameter state and no checkpoint of the poisoned epoch is
-  /// written.
+  /// written. Also true, before any epoch runs, when checkpoint_dir is set
+  /// but cannot be created or listed.
   bool aborted = false;
   std::string abort_reason;
 };
@@ -63,7 +64,8 @@ struct TrainStats {
 /// original single-shot Train() behaviour (no checkpointing).
 struct TrainOptions {
   /// Directory for rolling checkpoints (created if missing). Empty disables
-  /// checkpointing and resume.
+  /// checkpointing and resume. A path that is not a usable directory aborts
+  /// the run before its first epoch.
   std::string checkpoint_dir;
   /// Write a checkpoint every this many completed epochs (>= 1). A final
   /// checkpoint is always written when training stops with checkpointing on.
@@ -115,13 +117,15 @@ struct ModelLoadStatus {
 };
 
 /// One description of "where trained model state lives": an embeddings CSV,
-/// a rolling training checkpoint, or a .sarnsnap serving snapshot.
+/// a weights file or rolling training checkpoint, or a .sarnsnap serving
+/// snapshot.
 struct ModelLoadSource {
   enum class Kind {
     kAuto,                // Sniff from the extension (.sarnsnap, .sarnckpt, else CSV).
     kEmbeddingsCsv,       // Headerless n x d CSV of embedding rows.
-    kTrainingCheckpoint,  // Rolling checkpoint written by Train(); restores
-                          // the online branch (needs `network` + `config`).
+    kCheckpoint,          // SaveWeights file or rolling checkpoint written
+                          // by Train(); restores the online branch (needs
+                          // `network` + `config`).
     kSnapshot,            // Serving snapshot with an embedded model matrix.
   };
   Kind kind = Kind::kAuto;
@@ -202,19 +206,18 @@ class SarnModel {
   /// All trainable parameters of the online branch (tests/inspection).
   std::vector<tensor::Tensor> OnlineParameters() const;
 
-  /// Checkpointing of the online branch (the target branch is re-synced on
-  /// load). Returns false on I/O or architecture mismatch.
-  bool SaveWeights(const std::string& path) const;
-  bool LoadWeights(const std::string& path);
+  /// Atomically writes the weights file: an arena (snapshot/arena.h) with
+  /// the two model sections, sarn/variant and sarn/online.
+  snapshot::SnapshotStatus SaveWeights(const std::string& path) const;
 
-  /// Serving-export interop: restores just the online branch from a full
-  /// training checkpoint (the rolling file Train() writes), so
-  /// `sarn snapshot save --checkpoint` can serialise Embeddings() without a
-  /// separate weights file. Optimizer/RNG/queue sections are ignored. The
-  /// checkpoint's variant tag must match this model's composition
-  /// (kVariantMismatch names both combos otherwise); a corrupt file or
+  /// Restores the online branch (and re-syncs the target branch to it) from
+  /// any arena carrying the model sections: a SaveWeights file or a rolling
+  /// training checkpoint, whose optimizer/RNG/queue sections are ignored.
+  /// This is what `sarn snapshot save --checkpoint` reads. The variant tag
+  /// is required and must match this model's composition (kVariantMismatch
+  /// names both combos otherwise); a missing section, a corrupt file or an
   /// architecture mismatch also fails, and the model is left untouched.
-  ModelLoadStatus LoadFromTrainingCheckpoint(const std::string& path);
+  ModelLoadStatus LoadWeights(const std::string& path);
 
  private:
   friend class SarnModelTestPeer;
@@ -222,6 +225,15 @@ class SarnModel {
 
   /// Momentum-branch parameters (target encoder + target head).
   std::vector<tensor::Tensor> TargetParameters() const;
+
+  /// Adds the model sections (sarn/variant, sarn/online) to an arena; shared
+  /// by SaveWeights and the trainer's checkpoints.
+  void AddModelSections(snapshot::SnapshotWriter& writer) const;
+  /// Phase 1 of every restore: requires both model sections, checks the
+  /// variant tag against this model, then parses sarn/online into `staged`
+  /// (one buffer per OnlineParameters() tensor). Touches no parameter.
+  ModelLoadStatus StageModelSections(const snapshot::MappedSnapshot& arena,
+                                     std::vector<std::vector<float>>* staged) const;
 
   /// Binds `field` to `view` with this model's input ids (the view's
   /// attribute mask, if any) and encoder depth; starts in the all-rows case.

@@ -1,225 +1,20 @@
 #include "nn/serialization.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
-
-#include "common/logging.h"
 
 namespace sarn::nn {
 namespace {
 
-constexpr char kMagic[] = "SARNW1\n";
-constexpr size_t kMagicLen = sizeof(kMagic) - 1;
+using snapshot::SnapshotError;
+using snapshot::SnapshotStatus;
 
-constexpr char kCheckpointMagic[] = "SARNCK1\n";
-constexpr size_t kCheckpointMagicLen = sizeof(kCheckpointMagic) - 1;
 constexpr char kCheckpointSuffix[] = ".sarnckpt";
 constexpr char kCheckpointPrefix[] = "ckpt_";
 
 }  // namespace
-
-bool SaveParameters(const std::string& path, const std::vector<tensor::Tensor>& params) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) {
-    SARN_LOG(Error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  out.write(kMagic, static_cast<std::streamsize>(kMagicLen));
-  int64_t count = static_cast<int64_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const tensor::Tensor& p : params) {
-    int64_t rank = p.rank();
-    out.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-    for (int64_t d : p.shape()) {
-      out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-    }
-    out.write(reinterpret_cast<const char*>(p.data().data()),
-              static_cast<std::streamsize>(p.data().size() * sizeof(float)));
-  }
-  if (!out.good()) SARN_LOG(Error) << "short write to " << path;
-  return out.good();
-}
-
-bool LoadParameters(const std::string& path, const std::vector<tensor::Tensor>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  char magic[kMagicLen];
-  in.read(magic, static_cast<std::streamsize>(kMagicLen));
-  if (!in.good() || std::memcmp(magic, kMagic, kMagicLen) != 0) {
-    SARN_LOG(Error) << "bad checkpoint magic in " << path;
-    return false;
-  }
-  int64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in.good() || count != static_cast<int64_t>(params.size())) {
-    SARN_LOG(Error) << "checkpoint has " << count << " tensors, expected "
-                    << params.size();
-    return false;
-  }
-  for (const tensor::Tensor& p : params) {
-    int64_t rank = 0;
-    in.read(reinterpret_cast<char*>(&rank), sizeof(rank));
-    if (!in.good() || rank != p.rank()) return false;
-    for (int64_t expected : p.shape()) {
-      int64_t d = 0;
-      in.read(reinterpret_cast<char*>(&d), sizeof(d));
-      if (!in.good() || d != expected) {
-        SARN_LOG(Error) << "checkpoint shape mismatch in " << path;
-        return false;
-      }
-    }
-    tensor::Storage& data = const_cast<tensor::Tensor&>(p).mutable_data();
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-    if (!in.good()) return false;
-  }
-  return true;
-}
-
-// --- Training checkpoints ----------------------------------------------------
-
-const char* CheckpointErrorName(CheckpointError error) {
-  switch (error) {
-    case CheckpointError::kOk: return "ok";
-    case CheckpointError::kIoError: return "io-error";
-    case CheckpointError::kBadMagic: return "bad-magic";
-    case CheckpointError::kBadVersion: return "bad-version";
-    case CheckpointError::kTruncated: return "truncated";
-    case CheckpointError::kCrcMismatch: return "crc-mismatch";
-    case CheckpointError::kMalformed: return "malformed";
-    case CheckpointError::kShapeMismatch: return "shape-mismatch";
-  }
-  return "unknown";
-}
-
-void TrainingCheckpoint::SetSection(const std::string& name, std::string body) {
-  for (auto& [existing, value] : sections) {
-    if (existing == name) {
-      value = std::move(body);
-      return;
-    }
-  }
-  sections.emplace_back(name, std::move(body));
-}
-
-const std::string* TrainingCheckpoint::FindSection(const std::string& name) const {
-  for (const auto& [existing, value] : sections) {
-    if (existing == name) return &value;
-  }
-  return nullptr;
-}
-
-CheckpointStatus SaveCheckpoint(const std::string& path, const TrainingCheckpoint& ckpt) {
-  ByteWriter payload;
-  payload.PutU32(static_cast<uint32_t>(ckpt.sections.size()));
-  for (const auto& [name, body] : ckpt.sections) {
-    payload.PutString(name);
-    payload.PutString(body);
-  }
-  const std::string& bytes = payload.buffer();
-  uint32_t crc = Crc32(bytes.data(), bytes.size());
-
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return CheckpointStatus::Fail(CheckpointError::kIoError,
-                                    "cannot open " + tmp + " for writing");
-    }
-    out.write(kCheckpointMagic, static_cast<std::streamsize>(kCheckpointMagicLen));
-    uint32_t version = kCheckpointVersion;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    uint64_t size = bytes.size();
-    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    out.flush();
-    if (!out.good()) {
-      return CheckpointStatus::Fail(CheckpointError::kIoError, "short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return CheckpointStatus::Fail(CheckpointError::kIoError,
-                                  "cannot rename " + tmp + " to " + path);
-  }
-  return CheckpointStatus::Ok();
-}
-
-CheckpointStatus LoadCheckpoint(const std::string& path, TrainingCheckpoint* ckpt) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return CheckpointStatus::Fail(CheckpointError::kIoError, "cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return CheckpointStatus::Fail(CheckpointError::kIoError, "cannot read " + path);
-  }
-  std::string file = std::move(buffer).str();
-
-  ByteReader header(file);
-  char magic[kCheckpointMagicLen];
-  if (!header.GetBytes(magic, kCheckpointMagicLen) ||
-      std::memcmp(magic, kCheckpointMagic, kCheckpointMagicLen) != 0) {
-    return CheckpointStatus::Fail(CheckpointError::kBadMagic,
-                                  path + " is not a SARN training checkpoint");
-  }
-  uint32_t version = 0;
-  if (!header.GetU32(&version)) {
-    return CheckpointStatus::Fail(CheckpointError::kTruncated,
-                                  path + " ends inside the header");
-  }
-  if (version != kCheckpointVersion) {
-    return CheckpointStatus::Fail(
-        CheckpointError::kBadVersion,
-        path + " has version " + std::to_string(version) + ", this build reads " +
-            std::to_string(kCheckpointVersion));
-  }
-  uint64_t declared = 0;
-  if (!header.GetU64(&declared) || header.remaining() < declared + sizeof(uint32_t)) {
-    return CheckpointStatus::Fail(
-        CheckpointError::kTruncated,
-        path + " is truncated (declared payload " + std::to_string(declared) +
-            " bytes, " + std::to_string(header.remaining()) + " available)");
-  }
-  size_t payload_offset = kCheckpointMagicLen + sizeof(uint32_t) + sizeof(uint64_t);
-  std::string_view payload(file.data() + payload_offset, static_cast<size_t>(declared));
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, file.data() + payload_offset + declared, sizeof(stored_crc));
-  uint32_t actual_crc = Crc32(payload.data(), payload.size());
-  if (stored_crc != actual_crc) {
-    return CheckpointStatus::Fail(CheckpointError::kCrcMismatch,
-                                  path + " payload CRC mismatch (file corrupt)");
-  }
-
-  ByteReader body(payload);
-  uint32_t count = 0;
-  if (!body.GetU32(&count)) {
-    return CheckpointStatus::Fail(CheckpointError::kMalformed,
-                                  path + ": cannot read section count");
-  }
-  TrainingCheckpoint parsed;
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string name, value;
-    if (!body.GetString(&name) || !body.GetString(&value)) {
-      return CheckpointStatus::Fail(CheckpointError::kMalformed,
-                                    path + ": section " + std::to_string(i) +
-                                        " does not parse");
-    }
-    parsed.sections.emplace_back(std::move(name), std::move(value));
-  }
-  *ckpt = std::move(parsed);
-  return CheckpointStatus::Ok();
-}
 
 void WriteTensors(ByteWriter& out, const std::vector<tensor::Tensor>& tensors) {
   out.PutU64(tensors.size());
@@ -230,27 +25,27 @@ void WriteTensors(ByteWriter& out, const std::vector<tensor::Tensor>& tensors) {
   }
 }
 
-CheckpointStatus ReadTensorsInto(ByteReader& in,
-                                 const std::vector<tensor::Tensor>& tensors) {
+SnapshotStatus ReadTensorsInto(ByteReader& in,
+                               const std::vector<tensor::Tensor>& tensors) {
   std::vector<std::vector<float>> staged;
-  CheckpointStatus status = ParseTensors(in, tensors, &staged);
+  SnapshotStatus status = ParseTensors(in, tensors, &staged);
   if (!status.ok()) return status;
   for (size_t i = 0; i < tensors.size(); ++i) {
     const_cast<tensor::Tensor&>(tensors[i]).mutable_data() = std::move(staged[i]);
   }
-  return CheckpointStatus::Ok();
+  return SnapshotStatus::Ok();
 }
 
-CheckpointStatus ParseTensors(ByteReader& in, const std::vector<tensor::Tensor>& like,
-                              std::vector<std::vector<float>>* out_staged) {
+SnapshotStatus ParseTensors(ByteReader& in, const std::vector<tensor::Tensor>& like,
+                            std::vector<std::vector<float>>* out_staged) {
   uint64_t count = 0;
   if (!in.GetU64(&count)) {
-    return CheckpointStatus::Fail(CheckpointError::kMalformed,
-                                  "tensor section: cannot read count");
+    return SnapshotStatus::Fail(SnapshotError::kMalformed,
+                                "tensor section: cannot read count");
   }
   if (count != like.size()) {
-    return CheckpointStatus::Fail(
-        CheckpointError::kShapeMismatch,
+    return SnapshotStatus::Fail(
+        SnapshotError::kShapeMismatch,
         "tensor section has " + std::to_string(count) + " tensors, expected " +
             std::to_string(like.size()));
   }
@@ -259,38 +54,38 @@ CheckpointStatus ParseTensors(ByteReader& in, const std::vector<tensor::Tensor>&
     const tensor::Tensor& t = like[i];
     int64_t rank = 0;
     if (!in.GetI64(&rank)) {
-      return CheckpointStatus::Fail(CheckpointError::kMalformed,
-                                    "tensor section: truncated at tensor " +
-                                        std::to_string(i));
+      return SnapshotStatus::Fail(SnapshotError::kMalformed,
+                                  "tensor section: truncated at tensor " +
+                                      std::to_string(i));
     }
     if (rank != t.rank()) {
-      return CheckpointStatus::Fail(
-          CheckpointError::kShapeMismatch,
+      return SnapshotStatus::Fail(
+          SnapshotError::kShapeMismatch,
           "tensor " + std::to_string(i) + " has rank " + std::to_string(rank) +
               ", expected " + std::to_string(t.rank()));
     }
     for (int64_t expected : t.shape()) {
       int64_t d = 0;
       if (!in.GetI64(&d)) {
-        return CheckpointStatus::Fail(CheckpointError::kMalformed,
-                                      "tensor section: truncated at tensor " +
-                                          std::to_string(i));
+        return SnapshotStatus::Fail(SnapshotError::kMalformed,
+                                    "tensor section: truncated at tensor " +
+                                        std::to_string(i));
       }
       if (d != expected) {
-        return CheckpointStatus::Fail(
-            CheckpointError::kShapeMismatch,
+        return SnapshotStatus::Fail(
+            SnapshotError::kShapeMismatch,
             "tensor " + std::to_string(i) + " dim " + std::to_string(d) +
                 " != expected " + std::to_string(expected));
       }
     }
     if (!in.GetFloats(&staged[i]) || staged[i].size() != t.data().size()) {
-      return CheckpointStatus::Fail(CheckpointError::kMalformed,
-                                    "tensor section: bad value payload for tensor " +
-                                        std::to_string(i));
+      return SnapshotStatus::Fail(SnapshotError::kMalformed,
+                                  "tensor section: bad value payload for tensor " +
+                                      std::to_string(i));
     }
   }
   *out_staged = std::move(staged);
-  return CheckpointStatus::Ok();
+  return SnapshotStatus::Ok();
 }
 
 // --- Checkpoint directories --------------------------------------------------
@@ -302,10 +97,17 @@ std::string CheckpointFileName(int epoch) {
   return name;
 }
 
-std::vector<std::pair<int, std::string>> ListCheckpoints(const std::string& dir) {
-  std::vector<std::pair<int, std::string>> found;
+SnapshotStatus ListCheckpoints(const std::string& dir,
+                               std::vector<std::pair<int, std::string>>* out) {
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+  std::filesystem::directory_iterator it(dir, ec);
+  if (ec) {
+    return SnapshotStatus::Fail(
+        SnapshotError::kIoError,
+        "cannot list checkpoint directory " + dir + ": " + ec.message());
+  }
+  std::vector<std::pair<int, std::string>> found;
+  for (const auto& entry : it) {
     if (!entry.is_regular_file(ec)) continue;
     std::string name = entry.path().filename().string();
     size_t prefix_len = sizeof(kCheckpointPrefix) - 1;
@@ -323,12 +125,14 @@ std::vector<std::pair<int, std::string>> ListCheckpoints(const std::string& dir)
   }
   std::sort(found.begin(), found.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  return found;
+  *out = std::move(found);
+  return SnapshotStatus::Ok();
 }
 
 void PruneCheckpoints(const std::string& dir, int keep_last) {
   if (keep_last < 1) keep_last = 1;
-  std::vector<std::pair<int, std::string>> found = ListCheckpoints(dir);
+  std::vector<std::pair<int, std::string>> found;
+  if (!ListCheckpoints(dir, &found).ok()) return;
   std::error_code ec;
   for (size_t i = static_cast<size_t>(keep_last); i < found.size(); ++i) {
     std::filesystem::remove(found[i].second, ec);

@@ -1,102 +1,31 @@
-// Checkpointing.
+// Tensor sections and checkpoint directories.
 //
-// Two formats live here:
+// Weights files and training checkpoints are section sets of the one binary
+// container (snapshot/arena.h; DESIGN.md §8 and §13). This file holds the two
+// parts of them that are not container code:
 //
-// 1. Parameter snapshots (SaveParameters/LoadParameters): save/load a
-//    module's parameter list to a compact binary file. The format is
-//    positional — parameters are written in Parameters() order — so a
-//    snapshot can only be restored into the same architecture, which is
-//    validated by shape at load time.
-//    Layout: magic "SARNW1\n", int64 count, then per tensor: int64 rank,
-//    int64 dims..., float32 data (little-endian host order).
-//
-// 2. Training checkpoints (SaveCheckpoint/LoadCheckpoint): a versioned,
-//    CRC-checked container of named binary sections, used by the
-//    crash-safe trainers to capture *all* training state (model + momentum
-//    parameters, optimizer moments, schedule position, RNG streams,
-//    negative queues, trainer progress) so a resumed run continues the
-//    interrupted one bitwise.
-//    Layout:
-//      magic   "SARNCK1\n"                      (8 bytes)
-//      version u32                               (kCheckpointVersion)
-//      size    u64                               (payload byte count)
-//      payload u32 section count, then per section: string name (u64 length
-//              + bytes), string body
-//      crc     u32                               (CRC-32 of the payload)
-//    Writers publish atomically: the file is written to "<path>.tmp" and
-//    renamed over <path>, so a reader never observes a half-written
-//    checkpoint under POSIX rename semantics. Loaders verify magic, version,
-//    declared size and CRC before parsing, and report each failure mode as a
-//    distinct CheckpointError so corrupt files are skipped with a precise
-//    diagnostic instead of crashing or half-loading.
+// 1. Tensor-list sections (WriteTensors / ParseTensors / ReadTensorsInto): a
+//    module's parameter list serialised into one kBytes section. The layout
+//    is positional — u64 count, then per tensor i64 rank, i64 dims..., u64
+//    value count and float32 values (host order) — so a section restores
+//    only into the same architecture, which is checked by shape before any
+//    value is written.
+// 2. Checkpoint directories: the naming, newest-first discovery and
+//    keep-last-K rotation of the rolling "ckpt_<epoch>.sarnckpt" files the
+//    trainer writes.
 
 #ifndef SARN_NN_SERIALIZATION_H_
 #define SARN_NN_SERIALIZATION_H_
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "snapshot/format.h"
 #include "tensor/tensor.h"
 
 namespace sarn::nn {
-
-/// Writes the tensors to `path`. Returns false on I/O failure (logged).
-bool SaveParameters(const std::string& path, const std::vector<tensor::Tensor>& params);
-
-/// Restores values into `params` (shapes must match the file exactly).
-/// Returns false on I/O failure, magic/shape mismatch or truncation.
-bool LoadParameters(const std::string& path, const std::vector<tensor::Tensor>& params);
-
-// --- Training checkpoints ----------------------------------------------------
-
-inline constexpr uint32_t kCheckpointVersion = 1;
-
-/// Why a checkpoint failed to save or load. Each corruption mode maps to its
-/// own code so callers (and tests) can tell a torn file from a bit flip from
-/// an architecture mismatch.
-enum class CheckpointError {
-  kOk = 0,
-  kIoError,        // Cannot open/read/write/rename the file.
-  kBadMagic,       // Not a checkpoint file.
-  kBadVersion,     // A checkpoint, but a version this build cannot read.
-  kTruncated,      // File shorter than the header's declared payload size.
-  kCrcMismatch,    // Payload bytes corrupted (e.g. a flipped bit).
-  kMalformed,      // CRC passed but the section structure does not parse.
-  kShapeMismatch,  // Tensor payload does not match the target architecture.
-};
-
-const char* CheckpointErrorName(CheckpointError error);
-
-struct CheckpointStatus {
-  CheckpointError error = CheckpointError::kOk;
-  std::string message;
-
-  bool ok() const { return error == CheckpointError::kOk; }
-  static CheckpointStatus Ok() { return {}; }
-  static CheckpointStatus Fail(CheckpointError error, std::string message) {
-    return {error, std::move(message)};
-  }
-};
-
-/// An ordered set of named binary sections; each subsystem serialises itself
-/// into one section with a ByteWriter.
-struct TrainingCheckpoint {
-  std::vector<std::pair<std::string, std::string>> sections;
-
-  void SetSection(const std::string& name, std::string body);
-  /// nullptr when absent.
-  const std::string* FindSection(const std::string& name) const;
-};
-
-/// Atomically writes the checkpoint ("<path>.tmp" then rename).
-CheckpointStatus SaveCheckpoint(const std::string& path, const TrainingCheckpoint& ckpt);
-
-/// Reads and fully validates (magic, version, size, CRC) a checkpoint.
-/// `*ckpt` is only modified on success.
-CheckpointStatus LoadCheckpoint(const std::string& path, TrainingCheckpoint* ckpt);
 
 /// Serialises a tensor list (shapes + values) into `out`; the counterpart of
 /// ReadTensorsInto.
@@ -104,27 +33,29 @@ void WriteTensors(ByteWriter& out, const std::vector<tensor::Tensor>& tensors);
 
 /// Two-phase restore of a tensor list written by WriteTensors: every tensor
 /// is parsed and shape-checked against `tensors` before ANY value is
-/// written, so a mismatch never leaves the targets half-loaded.
-CheckpointStatus ReadTensorsInto(ByteReader& in, const std::vector<tensor::Tensor>& tensors);
+/// written, so a mismatch never leaves the targets half-loaded. Errors are
+/// kShapeMismatch (count, rank or dims differ) or kMalformed (truncated).
+snapshot::SnapshotStatus ReadTensorsInto(ByteReader& in,
+                                         const std::vector<tensor::Tensor>& tensors);
 
 /// Parse-only half of ReadTensorsInto: validates count and shapes against
 /// `like` and fills `staged` with one value buffer per tensor, without
 /// touching `like`. Lets a caller stage several tensor groups and commit
 /// them together (whole-model atomic resume).
-CheckpointStatus ParseTensors(ByteReader& in, const std::vector<tensor::Tensor>& like,
-                              std::vector<std::vector<float>>* staged);
+snapshot::SnapshotStatus ParseTensors(ByteReader& in,
+                                      const std::vector<tensor::Tensor>& like,
+                                      std::vector<std::vector<float>>* staged);
 
 // --- Checkpoint directories --------------------------------------------------
-// Trainers keep rolling checkpoints "ckpt_<epoch>.sarnckpt" in a directory;
-// these helpers implement the naming, newest-first discovery and keep-last-K
-// rotation shared by SarnModel and the baselines.
 
 /// "ckpt_000042.sarnckpt" for epoch 42 (zero-padded so names sort).
 std::string CheckpointFileName(int epoch);
 
 /// All checkpoint files in `dir` as (epoch, full path), newest epoch first.
-/// Missing or unreadable directories yield an empty list.
-std::vector<std::pair<int, std::string>> ListCheckpoints(const std::string& dir);
+/// kIoError when `dir` is missing or is not a readable directory; `*found`
+/// is only set on success.
+snapshot::SnapshotStatus ListCheckpoints(
+    const std::string& dir, std::vector<std::pair<int, std::string>>* found);
 
 /// Deletes all but the `keep_last` newest checkpoint files in `dir`.
 void PruneCheckpoints(const std::string& dir, int keep_last);

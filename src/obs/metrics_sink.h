@@ -92,7 +92,7 @@ struct EpochRecord {
 struct CheckpointEvent {
   enum class Action {
     kWritten,         // A checkpoint file was published.
-    kWriteFailed,     // SaveCheckpoint returned an error.
+    kWriteFailed,     // Writing the checkpoint file returned an error.
     kSkippedCorrupt,  // A file failed validation during resume discovery.
     kSkippedMismatch, // A valid file did not match this model/config.
     kResumedFrom,     // Training state was restored from this file.

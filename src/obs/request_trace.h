@@ -165,6 +165,7 @@ class RequestTracer {
 
  private:
   friend class RequestContext;
+  friend class RequestTracerTestPeer;  // Publishes fixed-timestamp records.
 
   // A ring slot guarded by a seqlock: odd sequence = write in progress. The
   // record payload is stored as relaxed atomic words (not a plain struct) so

@@ -1,24 +1,25 @@
-// On-disk layout of the mmap-able single-arena snapshot (DESIGN.md §13).
+// On-disk layout of SARN's one binary container (DESIGN.md §13).
 //
-// A snapshot is ONE contiguous arena — the file itself — holding a trained
-// model's embedding matrix plus the prepared serving payload (float and/or
-// int8 index rows, quantization scales, geo locator tables) as named,
-// 64-byte-aligned, CRC-checked sections. The design follows ggml's
-// one-buffer model file: a fixed header, a fixed-stride section table, then
-// raw payload bytes at aligned offsets, so a loader mmaps the file once and
-// adopts tensor sections as zero-copy views — cold start is O(page-fault),
-// not O(parse).
+// Every binary file SARN writes — serving snapshots, training checkpoints
+// and weights files — is ONE contiguous arena: the file itself, holding
+// named, 64-byte-aligned, CRC-checked sections. The three uses differ only
+// in their section sets. The design follows ggml's one-buffer model file: a
+// fixed header, a fixed-stride section table, then raw payload bytes at
+// aligned offsets, so a loader mmaps the file once and adopts tensor
+// sections as zero-copy views — cold start is O(page-fault), not O(parse).
 //
 //   offset 0        SnapshotHeader (64 bytes)
 //   offset 64       SectionEntry[section_count]   (64 bytes each)
 //   aligned         section payloads, each 64-byte aligned, zero-padded
 //
-// Multi-byte fields are little-endian host order (same stance as the
-// checkpoint container: the magic plus CRCs reject foreign files; this is a
-// deployment format for the machines the model trains and serves on).
+// Multi-byte fields are little-endian host order: the magic plus CRCs
+// reject foreign files; this is a deployment format for the machines the
+// model trains and serves on.
 //
 // Validation order on load — each corruption mode maps to its own
-// SnapshotError so the fuzz suite can pin them one by one:
+// SnapshotError so the fuzz suite can pin them one by one. Steps 1-9 are the
+// container's (MappedSnapshot::Map, every file); steps 10-11 belong to the
+// serving section set (LoadServingSnapshot):
 //   1. file shorter than the header ............................ kTruncated
 //   2. magic mismatch .......................................... kBadMagic
 //   3. header CRC mismatch (bit flip in the header) ............ kCrcMismatch
@@ -41,7 +42,7 @@
 
 namespace sarn::snapshot {
 
-/// First 8 bytes of every snapshot file.
+/// First 8 bytes of every binary file SARN writes.
 inline constexpr char kSnapshotMagic[8] = {'S', 'A', 'R', 'N',
                                            'S', 'N', 'P', '\n'};
 
@@ -57,7 +58,7 @@ inline constexpr size_t kSectionAlignment = 64;
 
 /// Element type of a section payload (SectionEntry::dtype).
 enum class SectionType : uint8_t {
-  kBytes = 0,  // Opaque byte blob (the meta section).
+  kBytes = 0,  // Opaque byte blob (the meta section, training state).
   kF32 = 1,
   kI8 = 2,
   kF64 = 3,
@@ -94,38 +95,23 @@ struct SectionEntry {
 static_assert(sizeof(SectionEntry) == 64);
 #pragma pack(pop)
 
-// Section names of v1. A snapshot always carries kSectionMeta; everything
-// else is optional and advertised by the meta flags.
-inline constexpr char kSectionMeta[] = "meta";
-inline constexpr char kSectionModelEmbeddings[] = "model/embeddings";
-inline constexpr char kSectionIndexF32Rows[] = "index/f32/rows";
-inline constexpr char kSectionIndexI8Codes[] = "index/i8/codes";
-inline constexpr char kSectionIndexI8Scales[] = "index/i8/scales";
-inline constexpr char kSectionGeoMidpoints[] = "geo/midpoints";
-
-/// Meta-section payload version (bumped independently of the container).
-inline constexpr uint32_t kMetaVersion = 1;
-
-// SnapshotMeta::payload_flags bits.
-inline constexpr uint32_t kHasFloatIndex = 1u << 0;
-inline constexpr uint32_t kHasInt8Index = 1u << 1;
-inline constexpr uint32_t kHasLocator = 1u << 2;
-inline constexpr uint32_t kHasModelEmbeddings = 1u << 3;
-
-/// Why a snapshot failed to save or load; every fuzz mutation mode must
-/// map to exactly one of these (never UB, never a crash).
+/// Why a container file (snapshot, checkpoint or weights) failed to save or
+/// load — the one typed error for every binary file SARN reads. Every fuzz
+/// mutation mode must map to exactly one of these (never UB, never a crash).
 enum class SnapshotError {
   kOk = 0,
-  kIoError,          // Cannot open/stat/map/write/rename the file.
-  kBadMagic,         // Not a snapshot file.
-  kBadVersion,       // A snapshot, but a major version this build can't read.
+  kIoError,          // Cannot open/stat/map/write/rename the file, or the
+                     // path is not a regular file.
+  kBadMagic,         // Not a SARN container file.
+  kBadVersion,       // A container, but a major version this build can't read.
   kTruncated,        // Shorter than the header or the declared file_bytes.
   kBadSectionTable,  // Table/entry geometry lies: bad count, unaligned or
                      // out-of-bounds offsets, overflowing extents, bad names.
   kCrcMismatch,      // Header, table or payload bytes corrupted.
-  kMalformed,        // Geometry checks passed but the meta payload (or a
-                     // required section) does not parse.
-  kShapeMismatch,    // Section byte counts disagree with meta's n/d.
+  kMalformed,        // Geometry checks passed but a required section is
+                     // missing or its payload does not parse.
+  kShapeMismatch,    // Section byte counts disagree with meta's n/d, or a
+                     // tensor section does not fit the target architecture.
 };
 
 const char* SnapshotErrorName(SnapshotError error);

@@ -1,11 +1,4 @@
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstring>
-#include <fstream>
 
 #include "common/binary_io.h"
 #include "obs/metrics.h"
@@ -36,192 +29,22 @@ struct SnapshotMetrics {
   }
 };
 
-bool ValidName(const char (&name)[40]) {
-  const void* nul = std::memchr(name, '\0', sizeof(name));
-  return nul != nullptr && name[0] != '\0';
-}
-
 }  // namespace
 
-MappedSnapshot::~MappedSnapshot() {
-  if (mapped_ && base_ != nullptr) {
-    ::munmap(const_cast<unsigned char*>(base_), size_);
-  }
-}
-
-const MappedSnapshot::Section* MappedSnapshot::Find(
-    std::string_view name) const {
-  for (const Section& section : sections_) {
-    if (section.name == name) return &section;
-  }
-  return nullptr;
-}
-
-SnapshotStatus MappedSnapshot::Map(const std::string& path,
-                                   const Options& options,
-                                   std::shared_ptr<const MappedSnapshot>* out) {
-  // The object is built first so that early-return paths unmap via the
-  // destructor; *out is only assigned after full validation.
-  std::shared_ptr<MappedSnapshot> snap(new MappedSnapshot());
-
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return SnapshotStatus::Fail(SnapshotError::kIoError,
-                                "cannot open " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    return SnapshotStatus::Fail(SnapshotError::kIoError,
-                                "cannot stat " + path);
-  }
-  snap->size_ = static_cast<size_t>(st.st_size);
-
-  // Validation step 1: a snapshot is at least one header long. Checked
-  // before mmap (mapping zero bytes is itself an error).
-  if (snap->size_ < sizeof(SnapshotHeader)) {
-    ::close(fd);
-    return SnapshotStatus::Fail(
-        SnapshotError::kTruncated,
-        path + ": " + std::to_string(snap->size_) + " bytes, shorter than the "
-        + std::to_string(sizeof(SnapshotHeader)) + "-byte header");
-  }
-
-  void* mapping = ::mmap(nullptr, snap->size_, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (mapping != MAP_FAILED) {
-    snap->base_ = static_cast<const unsigned char*>(mapping);
-    snap->mapped_ = true;
-    ::close(fd);
-  } else {
-    // Filesystems without mmap support: fall back to one heap read. The
-    // format validates identically; only mapped_bytes accounting differs.
-    ::close(fd);
-    std::ifstream in(path, std::ios::binary);
-    snap->heap_copy_.resize(snap->size_);
-    in.read(snap->heap_copy_.data(),
-            static_cast<std::streamsize>(snap->size_));
-    if (!in.good() ||
-        static_cast<size_t>(in.gcount()) != snap->size_) {
-      return SnapshotStatus::Fail(SnapshotError::kIoError,
-                                  "mmap failed and heap read of " + path +
-                                      " came up short");
-    }
-    snap->base_ = reinterpret_cast<const unsigned char*>(
-        snap->heap_copy_.data());
-  }
-
-  // Step 2: magic.
-  SnapshotHeader header;
-  std::memcpy(&header, snap->base_, sizeof(header));
-  if (std::memcmp(header.magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return SnapshotStatus::Fail(SnapshotError::kBadMagic,
-                                path + " is not a SARN snapshot");
-  }
-  // Step 3: header integrity before trusting any other header field.
-  const uint32_t header_crc =
-      Crc32(snap->base_, offsetof(SnapshotHeader, header_crc));
-  if (header_crc != header.header_crc) {
-    return SnapshotStatus::Fail(SnapshotError::kCrcMismatch,
-                                path + ": header CRC mismatch");
-  }
-  // Step 4: version gate.
-  if (header.version_major > kSnapshotVersionMajor) {
-    return SnapshotStatus::Fail(
-        SnapshotError::kBadVersion,
-        path + ": snapshot version " + std::to_string(header.version_major) +
-            "." + std::to_string(header.version_minor) +
-            " is newer than this build reads (" +
-            std::to_string(kSnapshotVersionMajor) + ".x); rebuild or upgrade");
-  }
-  snap->version_major_ = header.version_major;
-  snap->version_minor_ = header.version_minor;
-  // Step 5: exact size. A well-formed header on a truncated (or padded)
-  // file is still a torn write.
-  if (header.file_bytes != snap->size_) {
-    return SnapshotStatus::Fail(
-        SnapshotError::kTruncated,
-        path + ": header declares " + std::to_string(header.file_bytes) +
-            " bytes but the file has " + std::to_string(snap->size_));
-  }
-  // Step 6: section-table geometry.
-  const uint64_t table_bytes =
-      static_cast<uint64_t>(header.section_count) * sizeof(SectionEntry);
-  if (header.table_offset < sizeof(SnapshotHeader) ||
-      header.table_offset % kSectionAlignment != 0 ||
-      header.table_offset > snap->size_ ||
-      table_bytes > snap->size_ - header.table_offset) {
-    return SnapshotStatus::Fail(
-        SnapshotError::kBadSectionTable,
-        path + ": section table out of bounds (offset " +
-            std::to_string(header.table_offset) + ", " +
-            std::to_string(header.section_count) + " entries)");
-  }
-  // Step 7: table integrity before trusting any entry.
-  const unsigned char* table_base = snap->base_ + header.table_offset;
-  if (Crc32(table_base, table_bytes) != header.table_crc) {
-    return SnapshotStatus::Fail(SnapshotError::kCrcMismatch,
-                                path + ": section table CRC mismatch");
-  }
-  // Step 8: per-entry geometry.
-  const uint64_t payload_floor = header.table_offset + table_bytes;
-  snap->sections_.reserve(header.section_count);
-  for (uint32_t i = 0; i < header.section_count; ++i) {
-    SectionEntry entry;
-    std::memcpy(&entry, table_base + i * sizeof(SectionEntry), sizeof(entry));
-    if (!ValidName(entry.name)) {
-      return SnapshotStatus::Fail(
-          SnapshotError::kBadSectionTable,
-          path + ": section " + std::to_string(i) + " has a bad name");
-    }
-    const std::string_view name(
-        reinterpret_cast<const char*>(table_base + i * sizeof(SectionEntry)));
-    if (entry.offset % kSectionAlignment != 0 ||
-        entry.offset < payload_floor || entry.offset > snap->size_ ||
-        entry.bytes > snap->size_ - entry.offset) {
-      return SnapshotStatus::Fail(
-          SnapshotError::kBadSectionTable,
-          path + ": section '" + std::string(name) +
-              "' extent lies outside the file or is misaligned");
-    }
-    if (entry.dtype > static_cast<uint8_t>(SectionType::kF64)) {
-      return SnapshotStatus::Fail(
-          SnapshotError::kBadSectionTable,
-          path + ": section '" + std::string(name) + "' has unknown dtype " +
-              std::to_string(entry.dtype));
-    }
-    if (snap->Find(name) != nullptr) {
-      return SnapshotStatus::Fail(
-          SnapshotError::kBadSectionTable,
-          path + ": duplicate section '" + std::string(name) + "'");
-    }
-    Section section;
-    section.name = name;
-    section.dtype = static_cast<SectionType>(entry.dtype);
-    section.data = snap->base_ + entry.offset;
-    section.bytes = entry.bytes;
-    snap->sections_.push_back(section);
-
-    // Step 9: payload integrity.
-    if (options.verify_payload_crc &&
-        Crc32(section.data, section.bytes) != entry.crc32) {
-      return SnapshotStatus::Fail(
-          SnapshotError::kCrcMismatch,
-          path + ": payload CRC mismatch in section '" + std::string(name) +
-              "'");
-    }
-  }
-
+SnapshotStatus ReadServingMeta(const MappedSnapshot& mapping,
+                               SnapshotMeta* out) {
+  const std::string& path = mapping.path();
   // Step 10: the meta section is mandatory and must parse.
-  const Section* meta_section = snap->Find(kSectionMeta);
+  const MappedSnapshot::Section* meta_section = mapping.Find(kSectionMeta);
   if (meta_section == nullptr) {
     return SnapshotStatus::Fail(SnapshotError::kMalformed,
-                                path + ": no meta section");
+                                path + ": no '" + std::string(kSectionMeta) +
+                                    "' section (not a serving snapshot)");
   }
-  ByteReader reader(std::string_view(
-      static_cast<const char*>(meta_section->data), meta_section->bytes));
+  ByteReader reader(mapping.BytesOf(*meta_section));
   uint32_t meta_version = 0;
   uint32_t metric_raw = 0;
-  SnapshotMeta& meta = snap->meta_;
+  SnapshotMeta meta;
   // Trailing bytes after the v1 fields are tolerated: minor versions may
   // append fields, and this reader must keep loading them.
   bool parsed = reader.GetU32(&meta_version) && reader.GetI64(&meta.n) &&
@@ -257,7 +80,7 @@ SnapshotStatus MappedSnapshot::Map(const std::string& path,
   };
   for (const Expectation& expect : expectations) {
     if (!meta.has(expect.flag)) continue;
-    const Section* section = snap->Find(expect.name);
+    const MappedSnapshot::Section* section = mapping.Find(expect.name);
     if (section == nullptr || section->dtype != expect.dtype) {
       return SnapshotStatus::Fail(
           SnapshotError::kMalformed,
@@ -275,7 +98,7 @@ SnapshotStatus MappedSnapshot::Map(const std::string& path,
   }
   // Per-row scales ride along with an int8 cosine payload only.
   if (meta.has(kHasInt8Index) && meta.metric == tasks::IndexMetric::kCosine) {
-    const Section* scales = snap->Find(kSectionIndexI8Scales);
+    const MappedSnapshot::Section* scales = mapping.Find(kSectionIndexI8Scales);
     if (scales == nullptr || scales->dtype != SectionType::kF32) {
       return SnapshotStatus::Fail(
           SnapshotError::kMalformed,
@@ -295,7 +118,7 @@ SnapshotStatus MappedSnapshot::Map(const std::string& path,
         path + ": locator payload with non-positive grid cell side");
   }
 
-  *out = std::move(snap);
+  *out = meta;
   return SnapshotStatus::Ok();
 }
 
@@ -307,12 +130,13 @@ SnapshotStatus LoadServingSnapshot(const std::string& path,
   SnapshotMetrics& metrics = SnapshotMetrics::Get();
 
   std::shared_ptr<const MappedSnapshot> mapping;
+  SnapshotMeta meta;
   SnapshotStatus status = MappedSnapshot::Map(path, options, &mapping);
+  if (status.ok()) status = ReadServingMeta(*mapping, &meta);
   if (!status.ok()) {
     metrics.load_errors.Increment();
     return status;
   }
-  const SnapshotMeta& meta = mapping->meta();
 
   LoadedSnapshot loaded;
   loaded.mapping = mapping;

@@ -1,22 +1,19 @@
-// Save/load of mmap-able model + index snapshots (format.h, DESIGN.md §13).
+// Save/load of the serving section set: mmap-able model + index snapshots
+// (format.h, DESIGN.md §13).
 //
-// Writing: SnapshotWriter lays named sections into one arena (header,
-// fixed-stride section table, aligned CRC-checked payloads) and
-// WriteSnapshotFile publishes it atomically (tmp + rename, like the
-// checkpoint writer). BuildServingSnapshot assembles the standard contents —
-// the trained embedding matrix, the prepared float and/or int8 index
-// payloads taken verbatim from an EmbeddingIndex, and the geo locator
-// table — so a snapshot round-trips bitwise.
+// Writing: BuildServingSnapshot assembles the standard contents — the
+// trained embedding matrix, the prepared float and/or int8 index payloads
+// taken verbatim from an EmbeddingIndex, and the geo locator table — into
+// one arena (arena.h), so a snapshot round-trips bitwise.
 //
-// Loading: MappedSnapshot::Map mmaps the file read-only and validates it
-// (magic, versions, CRCs, section geometry — see format.h for the exact
-// order); every corruption mode is a typed SnapshotError, never UB.
-// LoadServingSnapshot then adopts the index sections as zero-copy
-// tensor::Storage::External views — the EmbeddingIndex pins the mapping via
-// a shared_ptr owner, so the file stays mapped exactly as long as any index
-// (or in-flight serve batch) still references it, and hot-swap retirement
-// munmaps it with the last reference. Only the locator is materialised
-// (its grid buckets are rebuilt from the mapped midpoint table).
+// Loading: LoadServingSnapshot maps the file (validation steps 1-9, arena.h),
+// checks the serving meta (steps 10-11), then adopts the index sections as
+// zero-copy tensor::Storage::External views — the EmbeddingIndex pins the
+// mapping via a shared_ptr owner, so the file stays mapped exactly as long
+// as any index (or in-flight serve batch) still references it, and hot-swap
+// retirement munmaps it with the last reference. Only the locator is
+// materialised (its grid buckets are rebuilt from the mapped midpoint
+// table).
 //
 // Obs: every successful load publishes sarn.snapshot.load_ms, .bytes,
 // .mapped_bytes (zero-copy adopted), .copied_bytes (materialised) and bumps
@@ -29,41 +26,34 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "geo/spatial_index.h"
-#include "snapshot/format.h"
+#include "snapshot/arena.h"
 #include "tasks/embedding_index.h"
 #include "tensor/tensor.h"
 
 namespace sarn::snapshot {
 
+// Section names of the serving set. A snapshot always carries kSectionMeta;
+// everything else is optional and advertised by the meta flags.
+inline constexpr char kSectionMeta[] = "meta";
+inline constexpr char kSectionModelEmbeddings[] = "model/embeddings";
+inline constexpr char kSectionIndexF32Rows[] = "index/f32/rows";
+inline constexpr char kSectionIndexI8Codes[] = "index/i8/codes";
+inline constexpr char kSectionIndexI8Scales[] = "index/i8/scales";
+inline constexpr char kSectionGeoMidpoints[] = "geo/midpoints";
+
+/// Meta-section payload version (bumped independently of the container).
+inline constexpr uint32_t kMetaVersion = 1;
+
+// SnapshotMeta::payload_flags bits.
+inline constexpr uint32_t kHasFloatIndex = 1u << 0;
+inline constexpr uint32_t kHasInt8Index = 1u << 1;
+inline constexpr uint32_t kHasLocator = 1u << 2;
+inline constexpr uint32_t kHasModelEmbeddings = 1u << 3;
+
 // --- Writing -----------------------------------------------------------------
-
-/// Assembles one snapshot arena in memory. Sections are laid out in Add()
-/// order at 64-byte-aligned offsets; Finish() seals the header and table.
-class SnapshotWriter {
- public:
-  /// Names must be unique, non-empty and at most 39 bytes (checked).
-  void Add(std::string_view name, SectionType dtype, const void* data,
-           size_t bytes);
-
-  /// The complete file image. The writer is left empty.
-  std::string Finish();
-
- private:
-  struct PendingSection {
-    std::string name;
-    SectionType dtype;
-    std::string bytes;
-  };
-  std::vector<PendingSection> sections_;
-};
-
-/// Atomically writes `bytes` (a Finish()ed arena) to `path`.
-SnapshotStatus WriteSnapshotFile(const std::string& path,
-                                 const std::string& bytes);
 
 /// What BuildServingSnapshot puts into the arena. All payload pointers are
 /// borrowed for the call only.
@@ -104,60 +94,9 @@ struct SnapshotMeta {
   bool has(uint32_t flag) const { return (payload_flags & flag) != 0; }
 };
 
-/// A validated, read-only mapping of a snapshot file. Move-free: always
-/// held behind shared_ptr so index views can pin it. Unmaps on destruction.
-class MappedSnapshot {
- public:
-  struct Options {
-    /// Verify every section payload's CRC at map time. Costs one sequential
-    /// pass over the file; disable only for benchmarking page-fault-only
-    /// loads of already-trusted files.
-    bool verify_payload_crc = true;
-  };
-
-  struct Section {
-    std::string_view name;
-    SectionType dtype = SectionType::kBytes;
-    const void* data = nullptr;
-    size_t bytes = 0;
-  };
-
-  /// Maps and fully validates `path`. `*out` is only set on success.
-  static SnapshotStatus Map(const std::string& path, const Options& options,
-                            std::shared_ptr<const MappedSnapshot>* out);
-
-  ~MappedSnapshot();
-  MappedSnapshot(const MappedSnapshot&) = delete;
-  MappedSnapshot& operator=(const MappedSnapshot&) = delete;
-
-  uint32_t version_major() const { return version_major_; }
-  uint32_t version_minor() const { return version_minor_; }
-  size_t file_bytes() const { return size_; }
-  const SnapshotMeta& meta() const { return meta_; }
-  const std::vector<Section>& sections() const { return sections_; }
-
-  /// nullptr when absent.
-  const Section* Find(std::string_view name) const;
-
-  /// Typed view of a section (bytes must divide evenly; callers validate
-  /// element counts against meta()).
-  template <typename T>
-  std::span<const T> SpanOf(const Section& section) const {
-    return {static_cast<const T*>(section.data), section.bytes / sizeof(T)};
-  }
-
- private:
-  MappedSnapshot() = default;
-
-  const unsigned char* base_ = nullptr;
-  size_t size_ = 0;
-  bool mapped_ = false;  // False when the fallback heap read path was used.
-  std::string heap_copy_;
-  uint32_t version_major_ = 0;
-  uint32_t version_minor_ = 0;
-  SnapshotMeta meta_;
-  std::vector<Section> sections_;
-};
+/// Validation steps 10-11 over a mapped arena: parses the meta section and
+/// checks every advertised payload's dtype and byte count against its n/d.
+SnapshotStatus ReadServingMeta(const MappedSnapshot& mapping, SnapshotMeta* out);
 
 /// Everything a serve cold start needs, adopted from one mapping.
 struct LoadedSnapshot {
@@ -177,8 +116,9 @@ struct LoadedSnapshot {
   double load_ms = 0.0;
 };
 
-/// Maps `path` and adopts the index payload at `precision` (the snapshot
-/// must carry that payload — kMalformed otherwise). On success publishes
+/// Maps `path`, runs ReadServingMeta and adopts the index payload at
+/// `precision` (the snapshot must carry that payload — kMalformed
+/// otherwise). On success publishes
 /// the sarn.snapshot.* metrics.
 SnapshotStatus LoadServingSnapshot(const std::string& path,
                                    tasks::IndexPrecision precision,

@@ -1,120 +1,10 @@
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <vector>
 
 #include "common/binary_io.h"
 #include "common/check.h"
 #include "snapshot/snapshot.h"
 
 namespace sarn::snapshot {
-namespace {
-
-size_t AlignUp(size_t value, size_t alignment) {
-  return (value + alignment - 1) / alignment * alignment;
-}
-
-}  // namespace
-
-const char* SnapshotErrorName(SnapshotError error) {
-  switch (error) {
-    case SnapshotError::kOk: return "ok";
-    case SnapshotError::kIoError: return "io_error";
-    case SnapshotError::kBadMagic: return "bad_magic";
-    case SnapshotError::kBadVersion: return "bad_version";
-    case SnapshotError::kTruncated: return "truncated";
-    case SnapshotError::kBadSectionTable: return "bad_section_table";
-    case SnapshotError::kCrcMismatch: return "crc_mismatch";
-    case SnapshotError::kMalformed: return "malformed";
-    case SnapshotError::kShapeMismatch: return "shape_mismatch";
-  }
-  return "unknown";
-}
-
-void SnapshotWriter::Add(std::string_view name, SectionType dtype,
-                         const void* data, size_t bytes) {
-  SARN_CHECK(!name.empty() && name.size() < sizeof(SectionEntry{}.name))
-      << "section name '" << std::string(name) << "'";
-  for (const PendingSection& section : sections_) {
-    SARN_CHECK(section.name != name) << "duplicate section " << std::string(name);
-  }
-  PendingSection section;
-  section.name = std::string(name);
-  section.dtype = dtype;
-  section.bytes.assign(static_cast<const char*>(data), bytes);
-  sections_.push_back(std::move(section));
-}
-
-std::string SnapshotWriter::Finish() {
-  const size_t count = sections_.size();
-  const size_t table_offset = sizeof(SnapshotHeader);
-  const size_t payload_start =
-      AlignUp(table_offset + count * sizeof(SectionEntry), kSectionAlignment);
-
-  // Lay out the arena: aligned payload offsets, zero padding in the gaps
-  // (padding is covered by file_bytes but by no section CRC).
-  std::vector<SectionEntry> table(count);
-  size_t cursor = payload_start;
-  for (size_t i = 0; i < count; ++i) {
-    SectionEntry& entry = table[i];
-    std::memset(&entry, 0, sizeof(entry));
-    std::memcpy(entry.name, sections_[i].name.data(), sections_[i].name.size());
-    entry.offset = cursor;
-    entry.bytes = sections_[i].bytes.size();
-    entry.crc32 = Crc32(sections_[i].bytes.data(), sections_[i].bytes.size());
-    entry.dtype = static_cast<uint8_t>(sections_[i].dtype);
-    cursor = AlignUp(cursor + sections_[i].bytes.size(), kSectionAlignment);
-  }
-  const size_t file_bytes = cursor;
-
-  SnapshotHeader header;
-  std::memset(&header, 0, sizeof(header));
-  std::memcpy(header.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
-  header.version_major = kSnapshotVersionMajor;
-  header.version_minor = kSnapshotVersionMinor;
-  header.file_bytes = file_bytes;
-  header.table_offset = table_offset;
-  header.section_count = static_cast<uint32_t>(count);
-  header.table_crc =
-      Crc32(table.data(), table.size() * sizeof(SectionEntry));
-  header.header_crc = Crc32(&header, offsetof(SnapshotHeader, header_crc));
-
-  std::string arena(file_bytes, '\0');
-  std::memcpy(arena.data(), &header, sizeof(header));
-  std::memcpy(arena.data() + table_offset, table.data(),
-              table.size() * sizeof(SectionEntry));
-  for (size_t i = 0; i < count; ++i) {
-    std::memcpy(arena.data() + table[i].offset, sections_[i].bytes.data(),
-                sections_[i].bytes.size());
-  }
-  sections_.clear();
-  return arena;
-}
-
-SnapshotStatus WriteSnapshotFile(const std::string& path,
-                                 const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return SnapshotStatus::Fail(SnapshotError::kIoError,
-                                  "cannot open " + tmp + " for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out.good()) {
-      return SnapshotStatus::Fail(SnapshotError::kIoError,
-                                  "short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return SnapshotStatus::Fail(SnapshotError::kIoError,
-                                "cannot rename " + tmp + " to " + path);
-  }
-  return SnapshotStatus::Ok();
-}
 
 std::string BuildServingSnapshot(const SnapshotContents& contents) {
   SARN_CHECK(contents.n >= 0 && contents.d > 0);

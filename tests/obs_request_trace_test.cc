@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +18,16 @@
 #include "obs/slo.h"
 
 namespace sarn::obs {
+
+// Test-only access to RequestTracer's publish path, so records with fixed
+// timestamps stand in for clock-driven ones.
+class RequestTracerTestPeer {
+ public:
+  static void Publish(RequestTracer& tracer, const RequestRecord& record) {
+    tracer.Publish(record);
+  }
+};
+
 namespace {
 
 RequestRecord MakeRecord(uint64_t id, uint64_t base_ns, uint64_t total_ns) {
@@ -194,23 +203,21 @@ TEST(RequestTracerTest, SlowestTableSurvivesRingWrap) {
   options.slowest_capacity = 3;
   RequestTracer tracer(options);
 
-  // Publish synthetic records directly through the context path is clock
-  // driven, so drive Publish via the snapshot invariants instead: every
-  // traced record lands in the slowest table until it fills, after which
-  // only slower records displace entries. With a busy-wait making one
-  // request clearly slower, it must survive a full ring wrap.
+  // Records carry fixed timestamps, published through the tracer's own
+  // publish path: every traced record lands in the slowest table until it
+  // fills, after which only slower records displace entries. The 20 ms
+  // request must survive a full ring wrap whatever the scheduler does.
   RequestContext slow = tracer.Admit();
   ASSERT_TRUE(slow.traced());
-  // Burn enough clock to dominate the near-instant requests below.
-  const auto until = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(20);
-  while (std::chrono::steady_clock::now() < until) {
-  }
-  slow.Finish(true);
   const uint64_t slow_id = slow.id();
+  RequestTracerTestPeer::Publish(tracer, MakeRecord(slow_id, 1000, 20'000'000));
 
   for (int i = 0; i < 16; ++i) {
-    tracer.Admit().Finish(true);
+    RequestContext fast = tracer.Admit();
+    ASSERT_TRUE(fast.traced());
+    const uint64_t base_ns = 30'000'000 + static_cast<uint64_t>(i) * 100'000;
+    RequestTracerTestPeer::Publish(
+        tracer, MakeRecord(fast.id(), base_ns, 5'000 + static_cast<uint64_t>(i)));
   }
 
   RequestTracer::TraceSnapshot snap = tracer.Snapshot();

@@ -13,6 +13,7 @@
 
 #include "common/parallel.h"
 #include "geo/point.h"
+#include "nn/serialization.h"
 #include "roadnet/synthetic_city.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
@@ -34,6 +35,14 @@ SarnConfig SmallConfig() {
   config.batch_size = 128;
   config.queue_budget = 400;
   return config;
+}
+
+// The rolling checkpoints in `dir`, newest first.
+std::vector<std::pair<int, std::string>> Checkpoints(const std::string& dir) {
+  std::vector<std::pair<int, std::string>> found;
+  snapshot::SnapshotStatus status = nn::ListCheckpoints(dir, &found);
+  EXPECT_TRUE(status.ok()) << status.message;
+  return found;
 }
 
 class SarnModelTest : public testing::Test {
@@ -257,7 +266,7 @@ TEST_F(SarnModelTest, ResumeSurvivesCorruptLatestCheckpoint) {
   }
   // Corrupt the newest checkpoint file (flip one byte mid-file); keep an
   // older valid one.
-  auto found = nn::ListCheckpoints(dir);
+  auto found = Checkpoints(dir);
   ASSERT_GE(found.size(), 2u);
   {
     std::fstream f(found.front().second,
@@ -296,7 +305,7 @@ TEST_F(SarnModelTest, CheckpointRotationKeepsLastK) {
   SarnModel model(*network_, config);
   TrainStats stats = model.Train(options);
   EXPECT_EQ(stats.epochs_run, 5);
-  auto found = nn::ListCheckpoints(dir);
+  auto found = Checkpoints(dir);
   ASSERT_EQ(found.size(), 2u);
   EXPECT_EQ(found[0].first, 5);
   EXPECT_EQ(found[1].first, 4);
@@ -357,10 +366,10 @@ TEST_F(SarnModelTest, ResumeRejectsCheckpointFromDifferentVariant) {
   std::filesystem::remove_all(dir);
 }
 
-// The typed export path: LoadFromTrainingCheckpoint must report
+// The typed export path: LoadWeights must report
 // kVariantMismatch with a message naming BOTH compositions, and leave the
 // model untouched — never a silent shape mismatch.
-TEST_F(SarnModelTest, LoadFromTrainingCheckpointReportsVariantMismatch) {
+TEST_F(SarnModelTest, LoadWeightsReportsVariantMismatch) {
   SetParallelThreads(1);
   SarnConfig rfn_config = SmallConfig();
   rfn_config.max_epochs = 1;
@@ -373,7 +382,7 @@ TEST_F(SarnModelTest, LoadFromTrainingCheckpointReportsVariantMismatch) {
     SarnModel model(*network_, rfn_config);
     model.Train(options);
   }
-  auto found = nn::ListCheckpoints(dir);
+  auto found = Checkpoints(dir);
   ASSERT_FALSE(found.empty());
   const std::string path = found.front().second;
 
@@ -382,7 +391,7 @@ TEST_F(SarnModelTest, LoadFromTrainingCheckpointReportsVariantMismatch) {
   gat_config.negatives = "spatial";
   SarnModel model(*network_, gat_config);
   Tensor before = model.Embeddings();
-  ModelLoadStatus status = model.LoadFromTrainingCheckpoint(path);
+  ModelLoadStatus status = model.LoadWeights(path);
   EXPECT_EQ(status.error, ModelLoadError::kVariantMismatch);
   EXPECT_NE(status.message.find("encoder=rfn"), std::string::npos) << status.message;
   EXPECT_NE(status.message.find("encoder=gat"), std::string::npos) << status.message;
@@ -393,39 +402,52 @@ TEST_F(SarnModelTest, LoadFromTrainingCheckpointReportsVariantMismatch) {
 
   // The matching composition restores cleanly from the same file.
   SarnModel matching(*network_, rfn_config);
-  EXPECT_TRUE(matching.LoadFromTrainingCheckpoint(path).ok());
+  EXPECT_TRUE(matching.LoadWeights(path).ok());
   SetParallelThreads(0);
   std::filesystem::remove_all(dir);
 }
 
-// Pre-plane checkpoints carry no variant section; they are accepted as the
-// default composition instead of being rejected.
-TEST_F(SarnModelTest, CheckpointWithoutVariantTagLoadsAsLegacy) {
+// The variant tag is required: an arena whose model sections lack
+// sarn/variant is refused by name, never adopted as some default
+// composition.
+TEST_F(SarnModelTest, CheckpointWithoutVariantTagIsRejected) {
   SetParallelThreads(1);
   SarnConfig config = SmallConfig();
   config.max_epochs = 1;
-  std::string dir = FreshDir("sarn_variant_legacy");
+  std::string dir = FreshDir("sarn_variant_required");
   TrainOptions options;
   options.checkpoint_dir = dir;
   {
     SarnModel model(*network_, config);
     model.Train(options);
   }
-  auto found = nn::ListCheckpoints(dir);
+  auto found = Checkpoints(dir);
   ASSERT_FALSE(found.empty());
   const std::string path = found.front().second;
-  // Strip the variant section, simulating a checkpoint from before the
-  // pluggable plane existed.
-  nn::TrainingCheckpoint ckpt;
-  ASSERT_TRUE(nn::LoadCheckpoint(path, &ckpt).ok());
-  ckpt.sections.erase(
-      std::remove_if(ckpt.sections.begin(), ckpt.sections.end(),
-                     [](const auto& s) { return s.first == kSectionVariant; }),
-      ckpt.sections.end());
-  ASSERT_TRUE(nn::SaveCheckpoint(path, ckpt).ok());
+  // Re-seal the same sections minus sarn/variant.
+  std::string stripped;
+  {
+    std::shared_ptr<const snapshot::MappedSnapshot> arena;
+    ASSERT_TRUE(snapshot::MappedSnapshot::Map(path, {}, &arena).ok());
+    snapshot::SnapshotWriter writer;
+    for (const auto& section : arena->sections()) {
+      if (section.name == kSectionVariant) continue;
+      writer.Add(section.name, section.dtype, section.data, section.bytes);
+    }
+    stripped = writer.Finish();
+  }
+  ASSERT_TRUE(snapshot::WriteSnapshotFile(path, stripped).ok());
 
   SarnModel model(*network_, config);
-  EXPECT_TRUE(model.LoadFromTrainingCheckpoint(path).ok());
+  Tensor before = model.Embeddings();
+  ModelLoadStatus status = model.LoadWeights(path);
+  EXPECT_EQ(status.error, ModelLoadError::kParseError);
+  EXPECT_NE(status.message.find(kSectionVariant), std::string::npos)
+      << status.message;
+  ASSERT_EQ(before.data(), model.Embeddings().data());
+  // Resume skips it as a mismatch and trains from scratch.
+  TrainStats stats = model.Train(options);
+  EXPECT_EQ(stats.resumed_from_epoch, 0);
   SetParallelThreads(0);
   std::filesystem::remove_all(dir);
 }

@@ -9,6 +9,7 @@
 #include "core/sarn_model.h"
 #include "nn/linear.h"
 #include "roadnet/synthetic_city.h"
+#include "snapshot/arena.h"
 #include "tensor/ops.h"
 
 namespace sarn::nn {
@@ -28,175 +29,78 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// A small two-section checkpoint used by the fault-injection tests.
-TrainingCheckpoint MakeCheckpoint() {
-  TrainingCheckpoint ckpt;
+// A small two-section arena in the shape of a checkpoint: kBytes sections
+// filled by ByteWriters. Corruption of such arenas is swept by
+// snapshot_corruption_test; these tests pin the directory handling.
+std::string MakeCheckpoint() {
+  snapshot::SnapshotWriter writer;
   ByteWriter a;
   a.PutI64(7);
   a.PutF64(2.5);
-  ckpt.SetSection("test/a", a.Take());
+  writer.Add("test/a", snapshot::SectionType::kBytes, a.Take());
   ByteWriter b;
   b.PutFloats({1.0f, 2.0f, 3.0f});
-  ckpt.SetSection("test/b", b.Take());
-  return ckpt;
+  writer.Add("test/b", snapshot::SectionType::kBytes, b.Take());
+  return writer.Finish();
 }
 
-TEST(SerializationTest, RoundTripRestoresValues) {
-  Rng rng(1);
-  Linear a(4, 3, rng);
-  Linear b(4, 3, rng);  // Different init.
-  std::string path = TempPath("sarn_params.bin");
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()));
-  ASSERT_TRUE(LoadParameters(path, b.Parameters()));
-  Tensor x = Tensor::Randn({2, 4}, rng);
-  Tensor ya = a.Forward(x);
-  Tensor yb = b.Forward(x);
-  for (int64_t i = 0; i < ya.numel(); ++i) {
-    EXPECT_FLOAT_EQ(ya.data()[static_cast<size_t>(i)], yb.data()[static_cast<size_t>(i)]);
-  }
-  std::remove(path.c_str());
+snapshot::SnapshotStatus SaveCheckpoint(const std::string& path) {
+  return snapshot::WriteSnapshotFile(path, MakeCheckpoint());
 }
 
-TEST(SerializationTest, RejectsShapeMismatch) {
-  Rng rng(2);
-  Linear a(4, 3, rng);
-  Linear wrong(4, 5, rng);
-  std::string path = TempPath("sarn_params_mismatch.bin");
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()));
-  EXPECT_FALSE(LoadParameters(path, wrong.Parameters()));
-  std::remove(path.c_str());
+std::vector<std::pair<int, std::string>> Checkpoints(const std::string& dir) {
+  std::vector<std::pair<int, std::string>> found;
+  snapshot::SnapshotStatus status = ListCheckpoints(dir, &found);
+  EXPECT_TRUE(status.ok()) << status.message;
+  return found;
 }
 
 TEST(SerializationTest, RejectsWrongCount) {
   Rng rng(3);
   Linear a(4, 3, rng);
-  std::string path = TempPath("sarn_params_count.bin");
-  ASSERT_TRUE(SaveParameters(path, a.Parameters()));
+  ByteWriter out;
+  WriteTensors(out, a.Parameters());
+  const std::string payload = out.Take();
   std::vector<Tensor> too_few = {a.Parameters()[0]};
-  EXPECT_FALSE(LoadParameters(path, too_few));
-  std::remove(path.c_str());
+  ByteReader in(payload);
+  EXPECT_EQ(ReadTensorsInto(in, too_few).error,
+            snapshot::SnapshotError::kShapeMismatch);
 }
 
-TEST(SerializationTest, RejectsGarbageFile) {
-  std::string path = TempPath("sarn_params_garbage.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a checkpoint";
-  }
-  Rng rng(4);
-  Linear a(4, 3, rng);
-  EXPECT_FALSE(LoadParameters(path, a.Parameters()));
-  std::remove(path.c_str());
-}
+// --- Checkpoint-style arenas --------------------------------------------------
 
-TEST(SerializationTest, MissingFileFails) {
-  Rng rng(5);
-  Linear a(4, 3, rng);
-  EXPECT_FALSE(LoadParameters("/nonexistent/params.bin", a.Parameters()));
-}
-
-// --- TrainingCheckpoint container -------------------------------------------
-
-TEST(TrainingCheckpointTest, RoundTripPreservesSections) {
+TEST(CheckpointArenaTest, RoundTripPreservesSections) {
   std::string path = TempPath("ckpt_roundtrip.sarnckpt");
-  TrainingCheckpoint original = MakeCheckpoint();
-  ASSERT_TRUE(SaveCheckpoint(path, original).ok());
+  ASSERT_TRUE(SaveCheckpoint(path).ok());
 
-  TrainingCheckpoint loaded;
-  CheckpointStatus status = LoadCheckpoint(path, &loaded);
+  std::shared_ptr<const snapshot::MappedSnapshot> arena;
+  snapshot::SnapshotStatus status = snapshot::MappedSnapshot::Map(path, {}, &arena);
   ASSERT_TRUE(status.ok()) << status.message;
-  ASSERT_EQ(loaded.sections.size(), original.sections.size());
-  for (size_t i = 0; i < original.sections.size(); ++i) {
-    EXPECT_EQ(loaded.sections[i].first, original.sections[i].first);
-    EXPECT_EQ(loaded.sections[i].second, original.sections[i].second);
-  }
+  ASSERT_EQ(arena->sections().size(), 2u);
+  EXPECT_EQ(arena->sections()[0].name, "test/a");
+  EXPECT_EQ(arena->sections()[1].name, "test/b");
+  EXPECT_EQ(arena->sections()[0].dtype, snapshot::SectionType::kBytes);
   // Typed values survive.
-  ByteReader in(*loaded.FindSection("test/a"));
+  ByteReader in(arena->BytesOf(*arena->Find("test/a")));
   int64_t v = 0;
   double d = 0.0;
   EXPECT_TRUE(in.GetI64(&v));
   EXPECT_TRUE(in.GetF64(&d));
+  EXPECT_TRUE(in.AtEnd());
   EXPECT_EQ(v, 7);
   EXPECT_EQ(d, 2.5);
   std::remove(path.c_str());
 }
 
-TEST(TrainingCheckpointTest, AtomicWriteLeavesNoTmpFile) {
+TEST(CheckpointArenaTest, AtomicWriteLeavesNoTmpFile) {
   std::string path = TempPath("ckpt_atomic.sarnckpt");
-  ASSERT_TRUE(SaveCheckpoint(path, MakeCheckpoint()).ok());
+  ASSERT_TRUE(SaveCheckpoint(path).ok());
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::remove(path.c_str());
 }
 
-TEST(TrainingCheckpointTest, MissingFileIsIoError) {
-  TrainingCheckpoint ckpt;
-  CheckpointStatus status = LoadCheckpoint(TempPath("ckpt_nonexistent.sarnckpt"), &ckpt);
-  EXPECT_EQ(status.error, CheckpointError::kIoError);
-}
-
-TEST(TrainingCheckpointTest, GarbageFileIsBadMagic) {
-  std::string path = TempPath("ckpt_garbage.sarnckpt");
-  WriteFile(path, "this is definitely not a checkpoint file at all");
-  TrainingCheckpoint ckpt;
-  CheckpointStatus status = LoadCheckpoint(path, &ckpt);
-  EXPECT_EQ(status.error, CheckpointError::kBadMagic);
-  std::remove(path.c_str());
-}
-
-TEST(TrainingCheckpointTest, TruncatedFileIsTruncatedError) {
-  std::string path = TempPath("ckpt_truncated.sarnckpt");
-  ASSERT_TRUE(SaveCheckpoint(path, MakeCheckpoint()).ok());
-  std::string bytes = ReadFile(path);
-  ASSERT_GT(bytes.size(), 25u);
-  // Cut the file mid-payload: header promises more bytes than exist.
-  WriteFile(path, bytes.substr(0, bytes.size() - 10));
-  TrainingCheckpoint ckpt;
-  CheckpointStatus status = LoadCheckpoint(path, &ckpt);
-  EXPECT_EQ(status.error, CheckpointError::kTruncated) << status.message;
-  EXPECT_TRUE(ckpt.sections.empty());  // Never half-loaded.
-  std::remove(path.c_str());
-}
-
-TEST(TrainingCheckpointTest, FlippedPayloadByteIsCrcMismatch) {
-  std::string path = TempPath("ckpt_bitflip.sarnckpt");
-  ASSERT_TRUE(SaveCheckpoint(path, MakeCheckpoint()).ok());
-  std::string bytes = ReadFile(path);
-  // Header is magic(8) + version(4) + size(8) = 20 bytes; flip one payload bit.
-  size_t payload_offset = 20;
-  ASSERT_GT(bytes.size(), payload_offset + 4);
-  bytes[payload_offset + 3] = static_cast<char>(bytes[payload_offset + 3] ^ 0x40);
-  WriteFile(path, bytes);
-  TrainingCheckpoint ckpt;
-  CheckpointStatus status = LoadCheckpoint(path, &ckpt);
-  EXPECT_EQ(status.error, CheckpointError::kCrcMismatch) << status.message;
-  EXPECT_TRUE(ckpt.sections.empty());
-  std::remove(path.c_str());
-}
-
-TEST(TrainingCheckpointTest, WrongVersionIsBadVersion) {
-  std::string path = TempPath("ckpt_version.sarnckpt");
-  ASSERT_TRUE(SaveCheckpoint(path, MakeCheckpoint()).ok());
-  std::string bytes = ReadFile(path);
-  // The u32 version sits right after the 8-byte magic (not CRC-covered).
-  bytes[8] = static_cast<char>(kCheckpointVersion + 1);
-  WriteFile(path, bytes);
-  TrainingCheckpoint ckpt;
-  CheckpointStatus status = LoadCheckpoint(path, &ckpt);
-  EXPECT_EQ(status.error, CheckpointError::kBadVersion) << status.message;
-  std::remove(path.c_str());
-}
-
-TEST(TrainingCheckpointTest, EachCorruptionModeHasDistinctError) {
-  // The four fixtures above must be distinguishable by error code alone.
-  EXPECT_NE(CheckpointError::kTruncated, CheckpointError::kCrcMismatch);
-  EXPECT_NE(CheckpointError::kBadVersion, CheckpointError::kCrcMismatch);
-  EXPECT_NE(CheckpointError::kBadMagic, CheckpointError::kBadVersion);
-  EXPECT_STRNE(CheckpointErrorName(CheckpointError::kTruncated),
-               CheckpointErrorName(CheckpointError::kCrcMismatch));
-}
-
-TEST(TrainingCheckpointTest, TensorShapeMismatchNeverHalfLoads) {
+TEST(CheckpointArenaTest, TensorShapeMismatchNeverHalfLoads) {
   Rng rng(11);
   Linear source(4, 3, rng);
   ByteWriter out;
@@ -206,13 +110,13 @@ TEST(TrainingCheckpointTest, TensorShapeMismatchNeverHalfLoads) {
   Linear wrong(4, 5, rng);  // Different output width.
   std::vector<float> before = wrong.Parameters()[0].data().ToVector();
   ByteReader in(payload);
-  CheckpointStatus status = ReadTensorsInto(in, wrong.Parameters());
-  EXPECT_EQ(status.error, CheckpointError::kShapeMismatch) << status.message;
+  snapshot::SnapshotStatus status = ReadTensorsInto(in, wrong.Parameters());
+  EXPECT_EQ(status.error, snapshot::SnapshotError::kShapeMismatch) << status.message;
   // Strong guarantee: the mismatched target is untouched, not half-loaded.
   EXPECT_EQ(wrong.Parameters()[0].data(), before);
 }
 
-TEST(TrainingCheckpointTest, WriteReadTensorsIsBitwise) {
+TEST(CheckpointArenaTest, WriteReadTensorsIsBitwise) {
   Rng rng(13);
   Linear source(6, 4, rng);
   Linear dest(6, 4, rng);  // Different init values.
@@ -226,22 +130,21 @@ TEST(TrainingCheckpointTest, WriteReadTensorsIsBitwise) {
   }
 }
 
-TEST(TrainingCheckpointTest, ListAndPruneCheckpoints) {
+TEST(CheckpointArenaTest, ListAndPruneCheckpoints) {
   std::string dir = TempPath("ckpt_dir_rotation");
   std::filesystem::create_directories(dir);
   for (int epoch : {1, 2, 3, 4, 5}) {
-    ASSERT_TRUE(
-        SaveCheckpoint(dir + "/" + CheckpointFileName(epoch), MakeCheckpoint()).ok());
+    ASSERT_TRUE(SaveCheckpoint(dir + "/" + CheckpointFileName(epoch)).ok());
   }
   WriteFile(dir + "/unrelated.txt", "ignore me");
 
-  auto found = ListCheckpoints(dir);
+  auto found = Checkpoints(dir);
   ASSERT_EQ(found.size(), 5u);
   EXPECT_EQ(found.front().first, 5);  // Newest first.
   EXPECT_EQ(found.back().first, 1);
 
   PruneCheckpoints(dir, 2);
-  found = ListCheckpoints(dir);
+  found = Checkpoints(dir);
   ASSERT_EQ(found.size(), 2u);
   EXPECT_EQ(found[0].first, 5);
   EXPECT_EQ(found[1].first, 4);
@@ -249,13 +152,13 @@ TEST(TrainingCheckpointTest, ListAndPruneCheckpoints) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(TrainingCheckpointTest, ResumeSkipsCorruptAndUsesOlderValid) {
+TEST(CheckpointArenaTest, ResumeSkipsCorruptAndUsesOlderValid) {
   // The trainer-facing contract: a corrupt newest checkpoint must not stop
   // resume — the loader reports it and the trainer falls back to the next.
   std::string dir = TempPath("ckpt_dir_fallback");
   std::filesystem::create_directories(dir);
-  ASSERT_TRUE(SaveCheckpoint(dir + "/" + CheckpointFileName(1), MakeCheckpoint()).ok());
-  ASSERT_TRUE(SaveCheckpoint(dir + "/" + CheckpointFileName(2), MakeCheckpoint()).ok());
+  ASSERT_TRUE(SaveCheckpoint(dir + "/" + CheckpointFileName(1)).ok());
+  ASSERT_TRUE(SaveCheckpoint(dir + "/" + CheckpointFileName(2)).ok());
   // Corrupt the newest.
   std::string newest = dir + "/" + CheckpointFileName(2);
   std::string bytes = ReadFile(newest);
@@ -263,9 +166,9 @@ TEST(TrainingCheckpointTest, ResumeSkipsCorruptAndUsesOlderValid) {
   WriteFile(newest, bytes);
 
   int loaded_epoch = -1;
-  for (const auto& [epoch, path] : ListCheckpoints(dir)) {
-    TrainingCheckpoint ckpt;
-    if (LoadCheckpoint(path, &ckpt).ok()) {
+  for (const auto& [epoch, path] : Checkpoints(dir)) {
+    std::shared_ptr<const snapshot::MappedSnapshot> arena;
+    if (snapshot::MappedSnapshot::Map(path, {}, &arena).ok()) {
       loaded_epoch = epoch;
       break;
     }
@@ -290,17 +193,102 @@ TEST(SerializationTest, SarnModelCheckpointRoundTrip) {
   core::SarnModel trained(network, config);
   trained.Train();
   std::string path = TempPath("sarn_model.ckpt");
-  ASSERT_TRUE(trained.SaveWeights(path));
+  ASSERT_TRUE(trained.SaveWeights(path).ok());
 
   config.seed = 777;  // Different init.
   core::SarnModel restored(network, config);
-  ASSERT_TRUE(restored.LoadWeights(path));
+  core::ModelLoadStatus status = restored.LoadWeights(path);
+  ASSERT_TRUE(status.ok()) << status.message;
   Tensor a = trained.Embeddings();
   Tensor b = restored.Embeddings();
   for (int64_t i = 0; i < a.numel(); ++i) {
     ASSERT_FLOAT_EQ(a.data()[static_cast<size_t>(i)], b.data()[static_cast<size_t>(i)]);
   }
   std::remove(path.c_str());
+}
+
+// --- Degenerate paths ----------------------------------------------------------
+// A missing path, a 0-byte file and a directory must each come back as a
+// typed error from every reader and writer — never a crash, never a
+// half-written file.
+
+class DegeneratePathTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = TempPath("sarn_degenerate_paths");
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(root_ + "/adir");
+    WriteFile(root_ + "/empty.bin", "");
+    roadnet::SyntheticCityConfig city;
+    city.rows = 6;
+    city.cols = 6;
+    network_ = roadnet::GenerateSyntheticCity(city);
+    config_.hidden_dim = 8;
+    config_.embedding_dim = 8;
+    config_.projection_dim = 4;
+    config_.gat_layers = 1;
+    config_.gat_heads = 2;
+    config_.feature_dim_per_feature = 2;
+    config_.max_epochs = 1;
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  std::string root_;
+  roadnet::RoadNetwork network_;
+  core::SarnConfig config_;
+};
+
+TEST_F(DegeneratePathTest, LoadWeightsIsTyped) {
+  core::SarnModel model(network_, config_);
+  struct Case {
+    std::string path;
+    core::ModelLoadError error;
+    const char* says;
+  };
+  const Case cases[] = {
+      {root_ + "/missing.ckpt", core::ModelLoadError::kFileNotFound, "cannot open"},
+      {root_ + "/empty.bin", core::ModelLoadError::kParseError, "[truncated]"},
+      {root_ + "/adir", core::ModelLoadError::kFileNotFound, "not a regular file"},
+  };
+  const std::vector<float> before = model.OnlineParameters()[0].data().ToVector();
+  for (const Case& c : cases) {
+    core::ModelLoadStatus status = model.LoadWeights(c.path);
+    EXPECT_EQ(status.error, c.error) << c.path << ": " << status.message;
+    EXPECT_NE(status.message.find(c.says), std::string::npos) << status.message;
+  }
+  EXPECT_EQ(model.OnlineParameters()[0].data(), before);
+}
+
+TEST_F(DegeneratePathTest, ListCheckpointsIsTyped) {
+  std::vector<std::pair<int, std::string>> found = {{1, "untouched"}};
+  EXPECT_EQ(ListCheckpoints(root_ + "/missing", &found).error,
+            snapshot::SnapshotError::kIoError);
+  EXPECT_EQ(ListCheckpoints(root_ + "/empty.bin", &found).error,
+            snapshot::SnapshotError::kIoError);
+  EXPECT_EQ(found.size(), 1u);  // Only set on success.
+  EXPECT_TRUE(ListCheckpoints(root_ + "/adir", &found).ok());
+  EXPECT_TRUE(found.empty());
+}
+
+TEST_F(DegeneratePathTest, CheckpointDirThatIsAFileAbortsBeforeTraining) {
+  core::SarnModel model(network_, config_);
+  core::TrainOptions options;
+  options.checkpoint_dir = root_ + "/empty.bin";
+  core::TrainStats stats = model.Train(options);
+  EXPECT_TRUE(stats.aborted);
+  EXPECT_EQ(stats.epochs_run, 0);
+  EXPECT_NE(stats.abort_reason.find("empty.bin"), std::string::npos)
+      << stats.abort_reason;
+}
+
+TEST_F(DegeneratePathTest, UnwritableWeightsPathIsIoErrorAndLeavesNoTmp) {
+  core::SarnModel model(network_, config_);
+  for (const std::string& path : {root_ + "/nodir/w.bin", root_ + "/adir"}) {
+    snapshot::SnapshotStatus status = model.SaveWeights(path);
+    EXPECT_EQ(status.error, snapshot::SnapshotError::kIoError) << path;
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << path;
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(root_ + "/adir"));
 }
 
 // The variant tag travels inside training checkpoints (section

@@ -119,10 +119,12 @@ TEST(SnapshotCompatTest, GoldenSnapshotLoadsForever) {
   SnapshotStatus status = MappedSnapshot::Map(GoldenPath(), {}, &mapping);
   ASSERT_TRUE(status.ok()) << status.message;
   EXPECT_EQ(mapping->version_major(), 1u);
-  EXPECT_EQ(mapping->meta().n, kGoldenN);
-  EXPECT_EQ(mapping->meta().d, kGoldenD);
-  EXPECT_EQ(mapping->meta().metric, IndexMetric::kCosine);
-  EXPECT_EQ(mapping->meta().locator_cell_side_meters, 300.0);
+  SnapshotMeta meta;
+  ASSERT_TRUE(ReadServingMeta(*mapping, &meta).ok());
+  EXPECT_EQ(meta.n, kGoldenN);
+  EXPECT_EQ(meta.d, kGoldenD);
+  EXPECT_EQ(meta.metric, IndexMetric::kCosine);
+  EXPECT_EQ(meta.locator_cell_side_meters, 300.0);
   for (const char* name :
        {kSectionMeta, kSectionModelEmbeddings, kSectionIndexF32Rows,
         kSectionIndexI8Codes, kSectionGeoMidpoints}) {

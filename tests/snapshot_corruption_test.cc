@@ -1,15 +1,20 @@
-// Deterministic corruption sweep over the snapshot container: every
+// Deterministic corruption sweep over the one binary container: every
 // mutation class (header bit flips, version lies, truncations at every
-// section boundary, section-table geometry lies, payload flips, meta
-// garbage) must be rejected with exactly the typed SnapshotError documented
-// in format.h — never UB, never a crash. tools/verify.sh runs this suite
-// under ASan/LSan; the random bit-flip fuzz at the end mirrors
-// csv_fuzz_test.cc.
+// section boundary, section-table geometry lies, payload flips) must be
+// rejected with exactly the typed SnapshotError documented in format.h —
+// never UB, never a crash. The container-level cases (validation steps 1-9)
+// run over two arenas: a serving snapshot and a real training checkpoint
+// written by the trainer. The serving-only cases (meta garbage, shape lies:
+// steps 10-11) follow, then degenerate paths. tools/verify.sh runs this
+// suite under ASan/LSan; the random bit-flip fuzz mirrors csv_fuzz_test.cc.
 
 #include "snapshot/snapshot.h"
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +22,10 @@
 
 #include "common/binary_io.h"
 #include "common/rng.h"
+#include "core/checkpoint_tags.h"
+#include "core/sarn_model.h"
+#include "nn/serialization.h"
+#include "roadnet/synthetic_city.h"
 #include "tasks/embedding_index.h"
 #include "tensor/tensor.h"
 
@@ -28,8 +37,9 @@ using tasks::IndexMetric;
 using tasks::IndexPrecision;
 using tensor::Tensor;
 
-// One fully loaded arena: meta + model + float + int8 (+ scales) + locator.
-std::string BaseArena() {
+// One fully loaded serving arena: meta + model + float + int8 (+ scales) +
+// locator.
+std::string ServingArena() {
   Rng rng(20260809);
   Tensor embeddings = Tensor::Randn({12, 8}, rng);
   EmbeddingIndex float_index(embeddings, IndexMetric::kCosine,
@@ -51,6 +61,58 @@ std::string BaseArena() {
   contents.locator_cell_side_meters = 120.0;
   return BuildServingSnapshot(contents);
 }
+
+// A training checkpoint as the trainer writes it: one epoch of a tiny model,
+// all eight sarn/* sections. Built once per process.
+std::string CheckpointArena() {
+  static const std::string bytes = [] {
+    roadnet::SyntheticCityConfig city;
+    city.rows = 5;
+    city.cols = 5;
+    const roadnet::RoadNetwork network = roadnet::GenerateSyntheticCity(city);
+    core::SarnConfig config;
+    config.hidden_dim = 8;
+    config.embedding_dim = 8;
+    config.projection_dim = 4;
+    config.gat_layers = 1;
+    config.gat_heads = 2;
+    config.feature_dim_per_feature = 2;
+    config.max_epochs = 1;
+    const std::string dir = testing::TempDir() + "/sarn_corrupt_checkpoint";
+    std::filesystem::remove_all(dir);
+    core::TrainOptions options;
+    options.checkpoint_dir = dir;
+    core::SarnModel model(network, config);
+    model.Train(options);
+    std::vector<std::pair<int, std::string>> found;
+    EXPECT_TRUE(nn::ListCheckpoints(dir, &found).ok());
+    EXPECT_EQ(found.size(), 1u);
+    std::ifstream in(found.at(0).second, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    std::filesystem::remove_all(dir);
+    return buffer.str();
+  }();
+  return bytes;
+}
+
+// One arena the container-level cases run over, with the two sections the
+// entry-lie cases rewrite: `victim` gets the lie, `other` lends its name.
+struct ArenaCase {
+  const char* label;
+  std::string (*build)();
+  size_t sections;
+  const char* victim;
+  const char* other;
+};
+
+void PrintTo(const ArenaCase& arena, std::ostream* os) { *os << arena.label; }
+
+const ArenaCase kArenaCases[] = {
+    {"serving", &ServingArena, 6, kSectionIndexF32Rows, kSectionMeta},
+    {"checkpoint", &CheckpointArena, 8, core::kSectionOnline,
+     core::kSectionVariant},
+};
 
 // Maps mutated bytes through a real file, exactly like production loads.
 SnapshotStatus MapBytes(const std::string& bytes,
@@ -122,16 +184,29 @@ size_t FindEntryIndex(const std::string& arena, const char* name) {
   return 0;
 }
 
-TEST(SnapshotCorruptionTest, PristineArenaMaps) {
+// --- Container level (steps 1-9), over every arena ----------------------------
+
+class SnapshotCorruptionTest : public testing::TestWithParam<ArenaCase> {
+ protected:
+  static std::string BaseArena() { return GetParam().build(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Arenas, SnapshotCorruptionTest,
+                         testing::ValuesIn(kArenaCases),
+                         [](const testing::TestParamInfo<ArenaCase>& info) {
+                           return std::string(info.param.label);
+                         });
+
+TEST_P(SnapshotCorruptionTest, PristineArenaMaps) {
   std::shared_ptr<const MappedSnapshot> snap;
   SnapshotStatus status = MapBytes(BaseArena(), &snap);
   ASSERT_TRUE(status.ok()) << status.message;
-  EXPECT_EQ(snap->meta().n, 12);
-  EXPECT_EQ(snap->meta().d, 8);
-  EXPECT_EQ(snap->sections().size(), 6u);
+  EXPECT_EQ(snap->sections().size(), GetParam().sections);
+  EXPECT_NE(snap->Find(GetParam().victim), nullptr);
+  EXPECT_NE(snap->Find(GetParam().other), nullptr);
 }
 
-TEST(SnapshotCorruptionTest, TruncationBelowHeaderIsTruncated) {
+TEST_P(SnapshotCorruptionTest, TruncationBelowHeaderIsTruncated) {
   const std::string arena = BaseArena();
   for (size_t keep : {0u, 1u, 8u, 63u}) {
     SnapshotStatus status = MapBytes(arena.substr(0, keep));
@@ -139,7 +214,7 @@ TEST(SnapshotCorruptionTest, TruncationBelowHeaderIsTruncated) {
   }
 }
 
-TEST(SnapshotCorruptionTest, TruncationAtEverySectionBoundaryIsTruncated) {
+TEST_P(SnapshotCorruptionTest, TruncationAtEverySectionBoundaryIsTruncated) {
   const std::string arena = BaseArena();
   const SnapshotHeader header = ReadHeader(arena);
   std::vector<size_t> cuts = {sizeof(SnapshotHeader),
@@ -162,7 +237,7 @@ TEST(SnapshotCorruptionTest, TruncationAtEverySectionBoundaryIsTruncated) {
   EXPECT_EQ(status.error, SnapshotError::kTruncated);
 }
 
-TEST(SnapshotCorruptionTest, EveryHeaderByteFlipIsTyped) {
+TEST_P(SnapshotCorruptionTest, EveryHeaderByteFlipIsTyped) {
   const std::string arena = BaseArena();
   for (size_t i = 0; i < sizeof(SnapshotHeader); ++i) {
     std::string mutated = arena;
@@ -178,7 +253,7 @@ TEST(SnapshotCorruptionTest, EveryHeaderByteFlipIsTyped) {
   }
 }
 
-TEST(SnapshotCorruptionTest, FutureMajorVersionIsRejectedWithClearError) {
+TEST_P(SnapshotCorruptionTest, FutureMajorVersionIsRejectedWithClearError) {
   std::string arena = BaseArena();
   SnapshotHeader header = ReadHeader(arena);
   header.version_major = kSnapshotVersionMajor + 1;
@@ -196,7 +271,7 @@ TEST(SnapshotCorruptionTest, FutureMajorVersionIsRejectedWithClearError) {
   EXPECT_TRUE(MapBytes(arena).ok());
 }
 
-TEST(SnapshotCorruptionTest, FileBytesLieIsTruncated) {
+TEST_P(SnapshotCorruptionTest, FileBytesLieIsTruncated) {
   std::string arena = BaseArena();
   SnapshotHeader header = ReadHeader(arena);
   header.file_bytes += 64;
@@ -204,7 +279,7 @@ TEST(SnapshotCorruptionTest, FileBytesLieIsTruncated) {
   EXPECT_EQ(MapBytes(arena).error, SnapshotError::kTruncated);
 }
 
-TEST(SnapshotCorruptionTest, SectionCountLieIsBadSectionTable) {
+TEST_P(SnapshotCorruptionTest, SectionCountLieIsBadSectionTable) {
   std::string arena = BaseArena();
   SnapshotHeader header = ReadHeader(arena);
   header.section_count = 1u << 20;
@@ -212,7 +287,7 @@ TEST(SnapshotCorruptionTest, SectionCountLieIsBadSectionTable) {
   EXPECT_EQ(MapBytes(arena).error, SnapshotError::kBadSectionTable);
 }
 
-TEST(SnapshotCorruptionTest, TableOffsetLieIsBadSectionTable) {
+TEST_P(SnapshotCorruptionTest, TableOffsetLieIsBadSectionTable) {
   for (uint64_t offset : {uint64_t{0}, uint64_t{63}, uint64_t{1} << 40}) {
     std::string arena = BaseArena();
     SnapshotHeader header = ReadHeader(arena);
@@ -223,7 +298,7 @@ TEST(SnapshotCorruptionTest, TableOffsetLieIsBadSectionTable) {
   }
 }
 
-TEST(SnapshotCorruptionTest, TableByteFlipIsCrcMismatch) {
+TEST_P(SnapshotCorruptionTest, TableByteFlipIsCrcMismatch) {
   const std::string arena = BaseArena();
   const SnapshotHeader header = ReadHeader(arena);
   const size_t table_bytes = header.section_count * sizeof(SectionEntry);
@@ -235,10 +310,10 @@ TEST(SnapshotCorruptionTest, TableByteFlipIsCrcMismatch) {
   }
 }
 
-TEST(SnapshotCorruptionTest, EntryLiesAreBadSectionTable) {
+TEST_P(SnapshotCorruptionTest, EntryLiesAreBadSectionTable) {
   const std::string base = BaseArena();
-  const size_t meta_i = FindEntryIndex(base, kSectionMeta);
-  const size_t rows_i = FindEntryIndex(base, kSectionIndexF32Rows);
+  const size_t meta_i = FindEntryIndex(base, GetParam().other);
+  const size_t rows_i = FindEntryIndex(base, GetParam().victim);
 
   {  // Empty name.
     std::string arena = base;
@@ -312,7 +387,7 @@ TEST(SnapshotCorruptionTest, EntryLiesAreBadSectionTable) {
   }
 }
 
-TEST(SnapshotCorruptionTest, PayloadByteFlipsAreCrcMismatch) {
+TEST_P(SnapshotCorruptionTest, PayloadByteFlipsAreCrcMismatch) {
   const std::string arena = BaseArena();
   const SnapshotHeader header = ReadHeader(arena);
   for (size_t i = 0; i < header.section_count; ++i) {
@@ -328,12 +403,12 @@ TEST(SnapshotCorruptionTest, PayloadByteFlipsAreCrcMismatch) {
   }
 }
 
-TEST(SnapshotCorruptionTest, PayloadFlipSlipsThroughWithCrcVerifyOff) {
+TEST_P(SnapshotCorruptionTest, PayloadFlipSlipsThroughWithCrcVerifyOff) {
   // Documents the verify_payload_crc=false contract: geometry is still
   // checked, payload bytes are trusted.
   std::string arena = BaseArena();
   const SectionEntry entry =
-      ReadEntry(arena, FindEntryIndex(arena, kSectionIndexF32Rows));
+      ReadEntry(arena, FindEntryIndex(arena, GetParam().victim));
   arena[entry.offset] ^= 0x10;
   static int counter = 0;
   const std::string path = testing::TempDir() + "/sarn_noverify_" +
@@ -346,81 +421,7 @@ TEST(SnapshotCorruptionTest, PayloadFlipSlipsThroughWithCrcVerifyOff) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotCorruptionTest, MetaGarbageIsMalformed) {
-  const std::string base = BaseArena();
-  const size_t meta_i = FindEntryIndex(base, kSectionMeta);
-  const SectionEntry meta_entry = ReadEntry(base, meta_i);
-
-  {  // Meta too short to parse.
-    std::string arena = base;
-    SectionEntry entry = meta_entry;
-    entry.bytes = 4;
-    WriteEntry(&arena, meta_i, entry);
-    ResealWithPayload(&arena, meta_i);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kMalformed);
-  }
-  {  // Unknown metric enum value.
-    std::string arena = base;
-    const size_t metric_off = meta_entry.offset + 4 + 8 + 8;
-    const uint32_t bogus = 7;
-    std::memcpy(arena.data() + metric_off, &bogus, sizeof(bogus));
-    ResealWithPayload(&arena, meta_i);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kMalformed);
-  }
-  {  // Negative n.
-    std::string arena = base;
-    const int64_t bogus = -3;
-    std::memcpy(arena.data() + meta_entry.offset + 4, &bogus, sizeof(bogus));
-    ResealWithPayload(&arena, meta_i);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kMalformed);
-  }
-  {  // Future meta payload version.
-    std::string arena = base;
-    const uint32_t bogus = kMetaVersion + 9;
-    std::memcpy(arena.data() + meta_entry.offset, &bogus, sizeof(bogus));
-    ResealWithPayload(&arena, meta_i);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kMalformed);
-  }
-  {  // Meta section missing entirely (renamed).
-    std::string arena = base;
-    SectionEntry entry = meta_entry;
-    std::strcpy(entry.name, "mete");
-    WriteEntry(&arena, meta_i, entry);
-    Reseal(&arena);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kMalformed);
-  }
-  {  // Advertised payload section missing (renamed).
-    std::string arena = base;
-    const size_t rows_i = FindEntryIndex(base, kSectionIndexF32Rows);
-    SectionEntry entry = ReadEntry(arena, rows_i);
-    entry.name[std::strlen(entry.name) - 1] = 'z';
-    WriteEntry(&arena, rows_i, entry);
-    Reseal(&arena);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kMalformed);
-  }
-}
-
-TEST(SnapshotCorruptionTest, ShapeLiesAreShapeMismatch) {
-  const std::string base = BaseArena();
-  const size_t meta_i = FindEntryIndex(base, kSectionMeta);
-  const SectionEntry meta_entry = ReadEntry(base, meta_i);
-  {  // n+1: every payload section's byte count now disagrees.
-    std::string arena = base;
-    const int64_t n = 13;
-    std::memcpy(arena.data() + meta_entry.offset + 4, &n, sizeof(n));
-    ResealWithPayload(&arena, meta_i);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kShapeMismatch);
-  }
-  {  // d halved.
-    std::string arena = base;
-    const int64_t d = 4;
-    std::memcpy(arena.data() + meta_entry.offset + 12, &d, sizeof(d));
-    ResealWithPayload(&arena, meta_i);
-    EXPECT_EQ(MapBytes(arena).error, SnapshotError::kShapeMismatch);
-  }
-}
-
-TEST(SnapshotCorruptionTest, RandomBitFlipFuzzNeverSucceedsOutsidePadding) {
+TEST_P(SnapshotCorruptionTest, RandomBitFlipFuzzNeverSucceedsOutsidePadding) {
   const std::string arena = BaseArena();
   const SnapshotHeader header = ReadHeader(arena);
   // Bytes covered by some checksum or geometry check: header, table, and
@@ -455,7 +456,108 @@ TEST(SnapshotCorruptionTest, RandomBitFlipFuzzNeverSucceedsOutsidePadding) {
   }
 }
 
-TEST(SnapshotCorruptionTest, ErrorNamesAreStable) {
+// --- Serving section set (steps 10-11) ----------------------------------------
+
+// Loads mutated bytes through LoadServingSnapshot (Map + the meta checks).
+SnapshotStatus LoadBytes(const std::string& bytes) {
+  static int counter = 0;
+  const std::string path = testing::TempDir() + "/sarn_corrupt_meta_" +
+                           std::to_string(counter++) + ".sarnsnap";
+  EXPECT_TRUE(WriteSnapshotFile(path, bytes).ok());
+  LoadedSnapshot loaded;
+  SnapshotStatus status =
+      LoadServingSnapshot(path, IndexPrecision::kFloat32, &loaded);
+  std::remove(path.c_str());
+  return status;
+}
+
+TEST(ServingMetaCorruptionTest, PristineMetaParses) {
+  const std::string arena = ServingArena();
+  std::shared_ptr<const MappedSnapshot> snap;
+  ASSERT_TRUE(MapBytes(arena, &snap).ok());
+  SnapshotMeta meta;
+  SnapshotStatus status = ReadServingMeta(*snap, &meta);
+  ASSERT_TRUE(status.ok()) << status.message;
+  EXPECT_EQ(meta.n, 12);
+  EXPECT_EQ(meta.d, 8);
+  EXPECT_TRUE(LoadBytes(arena).ok());
+}
+
+TEST(ServingMetaCorruptionTest, MetaGarbageIsMalformed) {
+  const std::string base = ServingArena();
+  const size_t meta_i = FindEntryIndex(base, kSectionMeta);
+  const SectionEntry meta_entry = ReadEntry(base, meta_i);
+
+  {  // Meta too short to parse.
+    std::string arena = base;
+    SectionEntry entry = meta_entry;
+    entry.bytes = 4;
+    WriteEntry(&arena, meta_i, entry);
+    ResealWithPayload(&arena, meta_i);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kMalformed);
+  }
+  {  // Unknown metric enum value.
+    std::string arena = base;
+    const size_t metric_off = meta_entry.offset + 4 + 8 + 8;
+    const uint32_t bogus = 7;
+    std::memcpy(arena.data() + metric_off, &bogus, sizeof(bogus));
+    ResealWithPayload(&arena, meta_i);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kMalformed);
+  }
+  {  // Negative n.
+    std::string arena = base;
+    const int64_t bogus = -3;
+    std::memcpy(arena.data() + meta_entry.offset + 4, &bogus, sizeof(bogus));
+    ResealWithPayload(&arena, meta_i);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kMalformed);
+  }
+  {  // Future meta payload version.
+    std::string arena = base;
+    const uint32_t bogus = kMetaVersion + 9;
+    std::memcpy(arena.data() + meta_entry.offset, &bogus, sizeof(bogus));
+    ResealWithPayload(&arena, meta_i);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kMalformed);
+  }
+  {  // Meta section missing entirely (renamed).
+    std::string arena = base;
+    SectionEntry entry = meta_entry;
+    std::strcpy(entry.name, "mete");
+    WriteEntry(&arena, meta_i, entry);
+    Reseal(&arena);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kMalformed);
+  }
+  {  // Advertised payload section missing (renamed).
+    std::string arena = base;
+    const size_t rows_i = FindEntryIndex(base, kSectionIndexF32Rows);
+    SectionEntry entry = ReadEntry(arena, rows_i);
+    entry.name[std::strlen(entry.name) - 1] = 'z';
+    WriteEntry(&arena, rows_i, entry);
+    Reseal(&arena);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kMalformed);
+  }
+}
+
+TEST(ServingMetaCorruptionTest, ShapeLiesAreShapeMismatch) {
+  const std::string base = ServingArena();
+  const size_t meta_i = FindEntryIndex(base, kSectionMeta);
+  const SectionEntry meta_entry = ReadEntry(base, meta_i);
+  {  // n+1: every payload section's byte count now disagrees.
+    std::string arena = base;
+    const int64_t n = 13;
+    std::memcpy(arena.data() + meta_entry.offset + 4, &n, sizeof(n));
+    ResealWithPayload(&arena, meta_i);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kShapeMismatch);
+  }
+  {  // d halved.
+    std::string arena = base;
+    const int64_t d = 4;
+    std::memcpy(arena.data() + meta_entry.offset + 12, &d, sizeof(d));
+    ResealWithPayload(&arena, meta_i);
+    EXPECT_EQ(LoadBytes(arena).error, SnapshotError::kShapeMismatch);
+  }
+}
+
+TEST(SnapshotErrorTest, NamesAreStable) {
   EXPECT_STREQ(SnapshotErrorName(SnapshotError::kOk), "ok");
   EXPECT_STREQ(SnapshotErrorName(SnapshotError::kBadMagic), "bad_magic");
   EXPECT_STREQ(SnapshotErrorName(SnapshotError::kBadVersion), "bad_version");
@@ -468,12 +570,61 @@ TEST(SnapshotCorruptionTest, ErrorNamesAreStable) {
                "shape_mismatch");
 }
 
-TEST(SnapshotCorruptionTest, MissingFileIsIoError) {
-  std::shared_ptr<const MappedSnapshot> snap;
-  SnapshotStatus status = MappedSnapshot::Map(
-      testing::TempDir() + "/definitely_missing.sarnsnap", {}, &snap);
-  EXPECT_EQ(status.error, SnapshotError::kIoError);
-  EXPECT_EQ(snap, nullptr);
+// --- Degenerate paths ----------------------------------------------------------
+// A missing path, a 0-byte file and a directory come back typed from both
+// readers; a write with no parent directory is kIoError and leaves no .tmp.
+
+class SnapshotDegeneratePathTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = testing::TempDir() + "/sarn_snapshot_degenerate";
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(root_ + "/adir");
+    std::ofstream(root_ + "/empty.sarnsnap").close();
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+  std::string root_;
+};
+
+TEST_F(SnapshotDegeneratePathTest, MapAndLoadAreTyped) {
+  struct Case {
+    std::string path;
+    SnapshotError error;
+    const char* says;
+  };
+  const Case cases[] = {
+      {root_ + "/missing.sarnsnap", SnapshotError::kIoError, "cannot open"},
+      {root_ + "/empty.sarnsnap", SnapshotError::kTruncated, "0 bytes"},
+      {root_ + "/adir", SnapshotError::kIoError, "not a regular file"},
+  };
+  for (const Case& c : cases) {
+    std::shared_ptr<const MappedSnapshot> snap;
+    SnapshotStatus status = MappedSnapshot::Map(c.path, {}, &snap);
+    EXPECT_EQ(status.error, c.error) << c.path << ": " << status.message;
+    EXPECT_NE(status.message.find(c.says), std::string::npos) << status.message;
+    EXPECT_EQ(snap, nullptr);
+
+    LoadedSnapshot loaded;
+    status = LoadServingSnapshot(c.path, IndexPrecision::kFloat32, &loaded);
+    EXPECT_EQ(status.error, c.error) << c.path << ": " << status.message;
+    EXPECT_EQ(loaded.index, nullptr);
+  }
+}
+
+TEST_F(SnapshotDegeneratePathTest, WriteWithoutParentDirIsIoErrorAndLeavesNoTmp) {
+  const std::string path = root_ + "/nodir/model.sarnsnap";
+  SnapshotStatus status = WriteSnapshotFile(path, ServingArena());
+  EXPECT_EQ(status.error, SnapshotError::kIoError) << status.message;
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST_F(SnapshotDegeneratePathTest, WriteOverADirectoryIsIoErrorAndLeavesNoTmp) {
+  const std::string path = root_ + "/adir";
+  SnapshotStatus status = WriteSnapshotFile(path, ServingArena());
+  EXPECT_EQ(status.error, SnapshotError::kIoError) << status.message;
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 //   sarn generate --city CD --scale 0.05 --out network.csv
 //   sarn train    --network network.csv [--epochs 40] [--dim 64]
 //                 --weights model.ckpt --embeddings embeddings.csv
+//                 (the weights file is read by snapshot save --checkpoint)
 //   sarn export   --network network.csv --embeddings embeddings.csv
 //                 --out atlas.geojson
 //   sarn eval     --network network.csv --embeddings embeddings.csv
@@ -10,7 +11,8 @@
 //   sarn serve    --embeddings embeddings.csv | --snapshot model.sarnsnap
 //                 [--network network.csv]
 //                 (newline-delimited JSON queries on stdin, see src/serve/)
-//   sarn snapshot save --embeddings embeddings.csv --out model.sarnsnap
+//   sarn snapshot save --embeddings embeddings.csv | --checkpoint model.ckpt
+//                      --out model.sarnsnap
 //   sarn snapshot load --in model.sarnsnap
 //   sarn import-osm --in extract.osm --out network.csv
 //
@@ -290,7 +292,8 @@ struct TrainArgs {
         .Int("dim", &dim, "embedding dimension")
         .Int("seed", &seed, "RNG seed");
     variant.Bind(b)
-        .String("weights", &weights, "write model weights here")
+        .String("weights", &weights,
+                "write model weights here (read by snapshot save --checkpoint)")
         .String("embeddings", &embeddings, "write embeddings CSV here")
         .String("checkpoint-dir", &options.checkpoint_dir,
                 "rolling checkpoint directory")
@@ -305,9 +308,40 @@ struct TrainArgs {
   }
 };
 
+// Everything train writes after its last epoch, checked before its first:
+// a bad output flag must not cost a whole training run.
+std::optional<std::string> CheckTrainOutputs(const TrainArgs& args) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const std::string& dir = args.options.checkpoint_dir;
+  if (!dir.empty()) {
+    fs::create_directories(dir, ec);
+    if (!fs::is_directory(dir, ec)) {
+      return "--checkpoint-dir " + dir + " is not a directory and cannot be created";
+    }
+  }
+  const std::pair<const char*, const std::string*> files[] = {
+      {"--weights", &args.weights},
+      {"--embeddings", &args.embeddings},
+      {"--trace-file", &args.trace_file}};
+  for (const auto& [flag, path] : files) {
+    if (path->empty()) continue;
+    if (fs::is_directory(*path, ec)) {
+      return std::string(flag) + " " + *path + " is a directory";
+    }
+    const fs::path parent = fs::path(*path).parent_path();
+    if (!parent.empty() && !fs::is_directory(parent, ec)) {
+      return std::string(flag) + " " + *path + ": directory " + parent.string() +
+             " does not exist";
+    }
+  }
+  return std::nullopt;
+}
+
 int CmdTrain(const TrainArgs& args) {
   if (args.epochs < 1) return Fail("train: --epochs must be at least 1");
   if (args.dim < 1) return Fail("train: --dim must be at least 1");
+  if (auto error = CheckTrainOutputs(args)) return Fail("train: " + *error);
   auto network = roadnet::LoadRoadNetworkCsv(args.network);
   if (!network.has_value()) return Fail("train: cannot load " + args.network);
 
@@ -372,8 +406,9 @@ int CmdTrain(const TrainArgs& args) {
               stats.seconds);
 
   if (!args.weights.empty()) {
-    if (!model.SaveWeights(args.weights)) {
-      return Fail("train: cannot write " + args.weights);
+    snapshot::SnapshotStatus status = model.SaveWeights(args.weights);
+    if (!status.ok()) {
+      return Fail("train: cannot write --weights: " + status.message);
     }
     std::printf("weights -> %s\n", args.weights.c_str());
   }
@@ -540,7 +575,9 @@ struct SnapshotSaveArgs {
     FlagBindings b;
     b.String("out", &out, "output snapshot file (.sarnsnap)", /*required=*/true)
         .String("embeddings", &embeddings, "embeddings CSV to snapshot")
-        .String("checkpoint", &checkpoint, "training checkpoint to export instead")
+        .String("checkpoint", &checkpoint,
+                "weights file (train --weights) or training checkpoint to "
+                "export instead")
         .String("network", &network,
                 "network CSV; embeds the serve locator (required with "
                 "--checkpoint)")
@@ -584,7 +621,7 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
       return Fail("snapshot save: --checkpoint needs --network (the graph the "
                   "encoder runs on)");
     }
-    source.kind = core::ModelLoadSource::Kind::kTrainingCheckpoint;
+    source.kind = core::ModelLoadSource::Kind::kCheckpoint;
     source.path = args.checkpoint;
     source.network = &*network;
     source.config.embedding_dim = args.dim;

@@ -18,9 +18,10 @@
 #      after the serve suite, a stress stage: the two steady-state
 #      allocation pins (EmbeddingIndexTest.QueryBatchBuildsNoTapeNodesAndNo-
 #      SteadyStateAllocs, QuantizedIndexTest.SteadyStateQueriesAreAllocation-
-#      Free) run 50 times back to back, and the serve label runs 20 times
-#      under ctest -j$(nproc), so an invariant that holds only under some
-#      thread schedules fails here instead of as a rare flake;
+#      Free) run 50 times back to back, the serve label runs 20 times and
+#      the checkpoint and snapshot labels 10 times each under
+#      ctest -j$(nproc), so an invariant that holds only under some thread
+#      schedules fails here instead of as a rare flake;
 #   5. the SIMD suite (ctest -L simd: scalar-vs-vector bitwise identity,
 #      int8 kernel exactness, quantized recall@10 gate) in the default build,
 #      then again in a -DSARN_NO_SIMD=ON build (build-nosimd) to prove the
@@ -39,11 +40,12 @@
 #      quantized snapshot that never returns to the pool fails verification
 #      instead of slowly growing memory;
 #   8. the mmap snapshot suite (ctest -L snapshot: corruption fuzz typed-error
-#      sweep, round-trip bitwise identity, golden v1 layout pin) plus a CLI
-#      smoke (snapshot save -> load -> serve --snapshot), with the corruption
-#      fuzz additionally rebuilt under ASan (a mutated arena must produce a
-#      typed error, never an out-of-bounds read) and the concurrent mmap
-#      hot-swap round trip under TSan;
+#      sweep over a serving snapshot and a training checkpoint, round-trip
+#      bitwise identity, golden v1 layout pin) plus a CLI smoke (snapshot
+#      save -> load -> serve --snapshot), with the corruption fuzz
+#      additionally rebuilt under ASan (a mutated serving or checkpoint arena
+#      must produce a typed error, never an out-of-bounds read) and the
+#      concurrent mmap hot-swap round trip under TSan;
 #   9. the pluggable encoder/augmentation plane (ctest -L encoder: variant
 #      registry round-trip, golden-trace bitwise pins of the default and
 #      eight other compositions at 1 and 4 threads, receptive-field builder
@@ -104,6 +106,10 @@ if [[ "$mode" != "--tsan-only" ]]; then
   build/tests/quantized_index_test --gtest_repeat=50 --gtest_brief=1 \
     --gtest_filter=QuantizedIndexTest.SteadyStateQueriesAreAllocationFree
   (cd build && ctest --output-on-failure -L serve --repeat until-fail:20 \
+    -j"$jobs")
+  (cd build && ctest --output-on-failure -L checkpoint --repeat until-fail:10 \
+    -j"$jobs")
+  (cd build && ctest --output-on-failure -L snapshot --repeat until-fail:10 \
     -j"$jobs")
   # Serve smoke: NDJSON in, validated NDJSON out, one ok:true per query.
   serve_dir="build/verify_serve"
