@@ -163,8 +163,8 @@ BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulNaive>)
     ->Arg(64)
     ->Arg(256)
     ->Arg(512);
-BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulBlocked>)
-    ->Name("BM_MatMulKernelBlocked")
+BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulBlockedInit>)
+    ->Name("BM_MatMulKernelBlockedInit")
     ->Arg(64)
     ->Arg(256)
     ->Arg(512);

@@ -99,15 +99,12 @@ GraphView AugmentGraph(const std::vector<roadnet::TopoEdge>& topo_edges,
   for (size_t i = 0; i < topo_edges.size(); ++i) {
     if (drop_topo[i]) continue;
     view.edges.Add(topo_edges[i].from, topo_edges[i].to);
-    view.topo_edges.Add(topo_edges[i].from, topo_edges[i].to);
     ++view.surviving_topo;
   }
   for (size_t i = 0; i < spatial_edges.size(); ++i) {
     if (drop_spatial[i]) continue;
     view.edges.Add(spatial_edges[i].a, spatial_edges[i].b);
     view.edges.Add(spatial_edges[i].b, spatial_edges[i].a);
-    view.spatial_edges.Add(spatial_edges[i].a, spatial_edges[i].b);
-    view.spatial_edges.Add(spatial_edges[i].b, spatial_edges[i].a);
     ++view.surviving_spatial;
   }
   return view;
@@ -128,11 +125,6 @@ GraphView FullGraphView(const std::vector<roadnet::TopoEdge>& topo_edges,
                         const std::vector<SpatialEdge>& spatial_edges) {
   GraphView view;
   view.edges = FullEdgeList(topo_edges, spatial_edges);
-  for (const roadnet::TopoEdge& e : topo_edges) view.topo_edges.Add(e.from, e.to);
-  for (const SpatialEdge& e : spatial_edges) {
-    view.spatial_edges.Add(e.a, e.b);
-    view.spatial_edges.Add(e.b, e.a);
-  }
   view.surviving_topo = static_cast<int64_t>(topo_edges.size());
   view.surviving_spatial = static_cast<int64_t>(spatial_edges.size());
   return view;
@@ -227,8 +219,6 @@ class ThirdLawAugmentation : public Augmentation {
     for (const auto& [a, b] : extra_edges_) {
       view.edges.Add(a, b);
       view.edges.Add(b, a);
-      view.spatial_edges.Add(a, b);
-      view.spatial_edges.Add(b, a);
       ++view.surviving_spatial;
     }
     return view;
@@ -258,7 +248,6 @@ class UniformDropAugmentation : public Augmentation {
     for (const roadnet::TopoEdge& e : network_->topo_edges()) {
       if (rng.Bernoulli(edge_drop_rate_)) continue;
       view.edges.Add(e.from, e.to);
-      view.topo_edges.Add(e.from, e.to);
       ++view.surviving_topo;
     }
     if (feature_mask_rate_ > 0.0) {
@@ -304,7 +293,6 @@ class AdaptiveDropAugmentation : public Augmentation {
           std::clamp(2.0 * mean_rate_ * (1.0 - normalized), epsilon_, 1.0 - epsilon_);
       if (rng.Bernoulli(drop)) continue;
       view.edges.Add(e.from, e.to);
-      view.topo_edges.Add(e.from, e.to);
       ++view.surviving_topo;
     }
     return view;

@@ -43,15 +43,13 @@ struct AugmentationConfig {
   bool couple_dual_typed = true;
 };
 
-/// A corrupted graph view. `edges` is the flattened directed edge list a
-/// single-relation encoder (GAT) consumes: surviving topological edges keep
-/// their direction; surviving spatial edges contribute both directions.
-/// `topo_edges`/`spatial_edges` hold the same survivors split by relation for
-/// relational encoders (RFN) that aggregate each edge type separately.
+/// A corrupted graph view. `edges` is its one directed edge list: the
+/// surviving topological edges in their direction, then both directions of
+/// each surviving spatial edge. A single-relation encoder (GAT) aggregates
+/// all of it; a relational one (RFN) reads edges[0, surviving_topo) as the
+/// topological relation and the rest as the spatial one.
 struct GraphView {
   nn::EdgeList edges;
-  nn::EdgeList topo_edges;
-  nn::EdgeList spatial_edges;
   /// Optional per-view masked feature ids (GraphCL-style attribute masking),
   /// feature-major like roadnet::SegmentFeatures::ids; empty = the encoder
   /// uses the unmasked network features.
@@ -81,8 +79,8 @@ GraphView AugmentGraph(const std::vector<roadnet::TopoEdge>& topo_edges,
 nn::EdgeList FullEdgeList(const std::vector<roadnet::TopoEdge>& topo_edges,
                           const std::vector<SpatialEdge>& spatial_edges);
 
-/// The uncorrupted graph as a GraphView (edges = FullEdgeList, relation
-/// splits filled, no attribute mask) — what inference encodes over.
+/// The uncorrupted graph as a GraphView (edges = FullEdgeList, no attribute
+/// mask) — what inference encodes over.
 GraphView FullGraphView(const std::vector<roadnet::TopoEdge>& topo_edges,
                         const std::vector<SpatialEdge>& spatial_edges);
 

@@ -14,10 +14,13 @@ void ReceptiveField::Bind(const GraphView& view,
     SARN_CHECK_EQ(static_cast<int64_t>(column.size()), num_vertices);
   }
   ids_ = &ids;
-  lists_ = {&view.edges.WithSelfLoops(num_vertices), &view.topo_edges,
-            &view.spatial_edges};
+  SARN_CHECK(view.surviving_topo >= 0 &&
+             static_cast<size_t>(view.surviving_topo) <= view.edges.size());
+  list_ = &view.edges.WithSelfLoops(num_vertices);
+  topo_end_ = static_cast<size_t>(view.surviving_topo);
+  spatial_end_ = view.edges.size();
   n_ = num_vertices;
-  csrs_built_ = false;
+  csr_built_ = false;
   layers_.resize(static_cast<size_t>(num_layers));
   SelectAll();
 }
@@ -25,34 +28,31 @@ void ReceptiveField::Bind(const GraphView& view,
 void ReceptiveField::SelectAll() {
   all_rows_ = true;
   for (nn::LayerGraph& layer : layers_) {
-    layer = nn::LayerGraph::AllRows(n_, lists_[0], lists_[1], lists_[2]);
+    layer = nn::LayerGraph::AllRows(n_, *list_, topo_end_, spatial_end_);
   }
 }
 
-void ReceptiveField::BuildCsrs() {
-  for (int r = 0; r < kRelations; ++r) {
-    const nn::EdgeList& list = *lists_[r];
-    Csr& csr = csrs_[r];
-    csr.offsets.assign(static_cast<size_t>(n_) + 1, 0);
-    for (int64_t v : list.dst) ++csr.offsets[static_cast<size_t>(v) + 1];
-    for (int64_t v = 0; v < n_; ++v) {
-      csr.offsets[static_cast<size_t>(v) + 1] += csr.offsets[static_cast<size_t>(v)];
-    }
-    // Counting sort by destination; ascending e keeps each vertex's in-edges
-    // in the list's order.
-    cursor_.assign(csr.offsets.begin(), csr.offsets.end() - 1);
-    csr.ids.resize(list.size());
-    for (size_t e = 0; e < list.size(); ++e) {
-      csr.ids[static_cast<size_t>(cursor_[static_cast<size_t>(list.dst[e])]++)] =
-          static_cast<int64_t>(e);
-    }
+void ReceptiveField::BuildCsr() {
+  const nn::EdgeList& list = *list_;
+  csr_offsets_.assign(static_cast<size_t>(n_) + 1, 0);
+  for (int64_t v : list.dst) ++csr_offsets_[static_cast<size_t>(v) + 1];
+  for (int64_t v = 0; v < n_; ++v) {
+    csr_offsets_[static_cast<size_t>(v) + 1] += csr_offsets_[static_cast<size_t>(v)];
   }
-  csrs_built_ = true;
+  // Counting sort by destination; ascending e keeps each vertex's in-edges
+  // in the list's order.
+  cursor_.assign(csr_offsets_.begin(), csr_offsets_.end() - 1);
+  csr_ids_.resize(list.size());
+  for (size_t e = 0; e < list.size(); ++e) {
+    csr_ids_[static_cast<size_t>(cursor_[static_cast<size_t>(list.dst[e])]++)] =
+        static_cast<int64_t>(e);
+  }
+  csr_built_ = true;
 }
 
 void ReceptiveField::Restrict(const std::vector<int64_t>& batch) {
   SARN_CHECK(ids_ != nullptr) << "ReceptiveField::Restrict before Bind";
-  if (!csrs_built_) BuildCsrs();
+  if (!csr_built_) BuildCsr();
   all_rows_ = false;
   const size_t depths = layers_.size() + 1;
   if (pos_.size() != depths || static_cast<int64_t>(pos_[0].size()) != n_) {
@@ -90,17 +90,14 @@ void ReceptiveField::Restrict(const std::vector<int64_t>& batch) {
     // membership until the sorted positions are assigned.
     in.assign(out.begin(), out.end());
     for (int64_t v : out) in_pos[static_cast<size_t>(v)] = 0;
-    for (int r = 0; r < kRelations; ++r) {
-      const Csr& csr = csrs_[r];
-      const std::vector<int64_t>& src = lists_[r]->src;
-      for (int64_t v : out) {
-        for (int64_t k = csr.offsets[static_cast<size_t>(v)];
-             k < csr.offsets[static_cast<size_t>(v) + 1]; ++k) {
-          int64_t u = src[static_cast<size_t>(csr.ids[static_cast<size_t>(k)])];
-          if (in_pos[static_cast<size_t>(u)] < 0) {
-            in_pos[static_cast<size_t>(u)] = 0;
-            in.push_back(u);
-          }
+    const std::vector<int64_t>& src = list_->src;
+    for (int64_t v : out) {
+      for (int64_t k = csr_offsets_[static_cast<size_t>(v)];
+           k < csr_offsets_[static_cast<size_t>(v) + 1]; ++k) {
+        int64_t u = src[static_cast<size_t>(csr_ids_[static_cast<size_t>(k)])];
+        if (in_pos[static_cast<size_t>(u)] < 0) {
+          in_pos[static_cast<size_t>(u)] = 0;
+          in.push_back(u);
         }
       }
     }
@@ -119,35 +116,36 @@ void ReceptiveField::Restrict(const std::vector<int64_t>& batch) {
     layer.num_in = static_cast<int64_t>(in.size());
     layer.num_out = static_cast<int64_t>(out.size());
     layer.out_rows = &out_rows;
-    for (int r = 0; r < kRelations; ++r) {
-      const Csr& csr = csrs_[r];
-      const nn::EdgeList& list = *lists_[r];
-      // Edges into R_{l+1}, back in the list's order (self-loops, appended
-      // last to the list, stay last).
-      edge_ids_.clear();
-      for (int64_t v : out) {
-        edge_ids_.insert(edge_ids_.end(),
-                         csr.ids.begin() + csr.offsets[static_cast<size_t>(v)],
-                         csr.ids.begin() + csr.offsets[static_cast<size_t>(v) + 1]);
-      }
-      std::sort(edge_ids_.begin(), edge_ids_.end());
-      Edges& edges = edges_[l][static_cast<size_t>(r)];
-      edges.src.resize(edge_ids_.size());
-      edges.dst_in.resize(edge_ids_.size());
-      edges.dst_out.resize(edge_ids_.size());
-      for (size_t k = 0; k < edge_ids_.size(); ++k) {
-        const size_t e = static_cast<size_t>(edge_ids_[k]);
-        const size_t dst = static_cast<size_t>(list.dst[e]);
-        edges.src[k] = in_pos[static_cast<size_t>(list.src[e])];
-        edges.dst_in[k] = in_pos[dst];
-        edges.dst_out[k] = out_pos[dst];
-      }
-      nn::LayerEdges& view = r == 0 ? layer.edges : r == 1 ? layer.topo : layer.spatial;
-      view.src = &edges.src;
-      view.dst_in = &edges.dst_in;
-      view.dst_out = &edges.dst_out;
-      view.present = list.size() > 0;
+    // Edges into R_{l+1}, back in the list's order: topological, then
+    // spatial, then the self-loops.
+    edge_ids_.clear();
+    for (int64_t v : out) {
+      edge_ids_.insert(edge_ids_.end(),
+                       csr_ids_.begin() + csr_offsets_[static_cast<size_t>(v)],
+                       csr_ids_.begin() + csr_offsets_[static_cast<size_t>(v) + 1]);
     }
+    std::sort(edge_ids_.begin(), edge_ids_.end());
+    Edges& edges = edges_[l];
+    edges.src.resize(edge_ids_.size());
+    edges.dst_in.resize(edge_ids_.size());
+    edges.dst_out.resize(edge_ids_.size());
+    for (size_t k = 0; k < edge_ids_.size(); ++k) {
+      const size_t e = static_cast<size_t>(edge_ids_[k]);
+      const size_t dst = static_cast<size_t>(list_->dst[e]);
+      edges.src[k] = in_pos[static_cast<size_t>(list_->src[e])];
+      edges.dst_in[k] = in_pos[dst];
+      edges.dst_out[k] = out_pos[dst];
+    }
+    const auto split = [&](size_t end) {
+      return static_cast<size_t>(std::lower_bound(edge_ids_.begin(), edge_ids_.end(),
+                                                  static_cast<int64_t>(end)) -
+                                 edge_ids_.begin());
+    };
+    const size_t topo_end = split(topo_end_);
+    layer.edges = {edges.src, edges.dst_in, edges.dst_out, list_->size() > 0};
+    layer.topo = layer.edges.Range(0, topo_end, topo_end_ > 0);
+    layer.spatial =
+        layer.edges.Range(topo_end, split(spatial_end_), spatial_end_ > topo_end_);
   }
 
   const std::vector<int64_t>& first = rows_[0];

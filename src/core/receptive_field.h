@@ -9,7 +9,9 @@
 //
 // each sorted ascending, plus one nn::LayerGraph per layer: the edges whose
 // destination is in R_{l+1}, in the view's edge order with the self-loops
-// last, renumbered into R_l / R_{l+1} rows. The feature embedding then runs
+// last, renumbered into R_l / R_{l+1} rows. The view's edge order puts the
+// topological edges first, so each relation an RFN layer reads is a
+// contiguous range of that one restricted set. The feature embedding then runs
 // on R_0, layer l maps R_l to R_{l+1}, and the projection head runs on the
 // batch rows alone. Because every row set is ascending and every edge list
 // keeps the view's order, each float sum sees the same non-zero terms in the
@@ -22,7 +24,6 @@
 #ifndef SARN_CORE_RECEPTIVE_FIELD_H_
 #define SARN_CORE_RECEPTIVE_FIELD_H_
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,7 +38,7 @@ class ReceptiveField {
   /// Binds a view over `num_vertices` rows for an encoder of `num_layers`
   /// layers. `ids` holds the per-feature input ids of every row (the view's
   /// masked ids, or the network's). Both must outlive the binding and stay
-  /// unchanged while it is used. The in-CSRs are built on the first Restrict
+  /// unchanged while it is used. The in-CSR is built on the first Restrict
   /// after a Bind; buffers keep their capacity across Binds.
   void Bind(const GraphView& view, const std::vector<std::vector<int64_t>>& ids,
             int64_t num_vertices, int num_layers);
@@ -66,36 +67,35 @@ class ReceptiveField {
   int num_layers() const { return static_cast<int>(layers_.size()); }
 
  private:
-  // Relations, in LayerGraph order: all edges + self-loops, topo, spatial.
-  static constexpr int kRelations = 3;
-
-  // In-edges of every vertex: edge ids[offsets[v], offsets[v+1]) ascending.
-  struct Csr {
-    std::vector<int64_t> offsets;
-    std::vector<int64_t> ids;
-  };
-  // One relation's restricted edges for one layer.
+  // One layer's restricted edges.
   struct Edges {
     std::vector<int64_t> src;
     std::vector<int64_t> dst_in;
     std::vector<int64_t> dst_out;
   };
 
-  void BuildCsrs();
+  void BuildCsr();
 
   const std::vector<std::vector<int64_t>>* ids_ = nullptr;
-  std::array<const nn::EdgeList*, kRelations> lists_{};
+  // The view's edges with the self-loops appended: [0, topo_end_) is the
+  // topological relation, [topo_end_, spatial_end_) the spatial one.
+  const nn::EdgeList* list_ = nullptr;
+  size_t topo_end_ = 0;
+  size_t spatial_end_ = 0;
   int64_t n_ = 0;
-  bool csrs_built_ = false;
+  bool csr_built_ = false;
   bool all_rows_ = true;
 
-  std::array<Csr, kRelations> csrs_;
+  // In-edges of every vertex: csr_ids_[csr_offsets_[v], csr_offsets_[v+1])
+  // ascending.
+  std::vector<int64_t> csr_offsets_;
+  std::vector<int64_t> csr_ids_;
   std::vector<int64_t> cursor_;
   // rows_[d] = R_d ascending; pos_[d][v] = index of v in R_d, or -1.
   std::vector<std::vector<int64_t>> rows_;
   std::vector<std::vector<int64_t>> pos_;
   std::vector<std::vector<int64_t>> out_rows_;
-  std::vector<std::array<Edges, kRelations>> edges_;
+  std::vector<Edges> edges_;
   std::vector<int64_t> edge_ids_;
   std::vector<nn::LayerGraph> layers_;
   std::vector<std::vector<int64_t>> input_ids_;

@@ -53,7 +53,6 @@ SarnModel::SarnModel(const roadnet::RoadNetwork& network, SarnConfig config)
     similarity_config.max_spatial_neighbors = config_.max_spatial_neighbors;
     spatial_edges_ = BuildSpatialEdges(network, similarity_config);
   }
-  full_edges_ = FullEdgeList(network.topo_edges(), spatial_edges_);
   full_view_ = FullGraphView(network.topo_edges(), spatial_edges_);
 
   VariantRegistry& registry = VariantRegistry::Instance();
@@ -242,19 +241,11 @@ const char* ModelLoadErrorName(ModelLoadError error) {
     case ModelLoadError::kParseError: return "parse_error";
     case ModelLoadError::kArchitectureMismatch: return "architecture_mismatch";
     case ModelLoadError::kVariantMismatch: return "variant_mismatch";
-    case ModelLoadError::kUnsupportedFormat: return "unsupported_format";
   }
   return "unknown";
 }
 
 namespace {
-
-SarnModel::SnapshotLoader g_snapshot_loader = nullptr;
-
-bool PathEndsWith(const std::string& path, const std::string& suffix) {
-  return path.size() >= suffix.size() &&
-         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 ModelLoadResult LoadFail(ModelLoadError error, std::string message) {
   ModelLoadResult result;
@@ -263,7 +254,9 @@ ModelLoadResult LoadFail(ModelLoadError error, std::string message) {
   return result;
 }
 
-ModelLoadResult LoadEmbeddingsCsvSource(const std::string& path) {
+}  // namespace
+
+ModelLoadResult SarnModel::LoadEmbeddingsCsv(const std::string& path) {
   if (!std::filesystem::exists(path)) {
     return LoadFail(ModelLoadError::kFileNotFound, "cannot open " + path);
   }
@@ -297,58 +290,20 @@ ModelLoadResult LoadEmbeddingsCsvSource(const std::string& path) {
   return result;
 }
 
-ModelLoadResult LoadCheckpointSource(const ModelLoadSource& source) {
-  if (source.network == nullptr) {
-    return LoadFail(ModelLoadError::kArchitectureMismatch,
-                    "checkpoint restore needs the network (and config) the "
-                    "encoder runs on");
+ModelLoadResult SarnModel::LoadCheckpointEmbeddings(const std::string& path,
+                                                    const roadnet::RoadNetwork& network,
+                                                    const SarnConfig& config) {
+  if (!std::filesystem::exists(path)) {
+    return LoadFail(ModelLoadError::kFileNotFound, "cannot open " + path);
   }
-  if (!std::filesystem::exists(source.path)) {
-    return LoadFail(ModelLoadError::kFileNotFound, "cannot open " + source.path);
-  }
-  auto model = std::make_unique<SarnModel>(*source.network, source.config);
-  ModelLoadStatus status = model->LoadWeights(source.path);
+  SarnModel model(network, config);
+  ModelLoadStatus status = model.LoadWeights(path);
   if (!status.ok()) {
     return LoadFail(status.error, status.message);
   }
   ModelLoadResult result;
-  result.embeddings = model->Embeddings();
-  result.model = std::move(model);
+  result.embeddings = model.Embeddings();
   return result;
-}
-
-}  // namespace
-
-void SarnModel::SetSnapshotLoader(SnapshotLoader loader) {
-  g_snapshot_loader = loader;
-}
-
-ModelLoadResult SarnModel::Load(const ModelLoadSource& source) {
-  ModelLoadSource::Kind kind = source.kind;
-  if (kind == ModelLoadSource::Kind::kAuto) {
-    if (PathEndsWith(source.path, ".sarnsnap")) {
-      kind = ModelLoadSource::Kind::kSnapshot;
-    } else if (PathEndsWith(source.path, ".sarnckpt")) {
-      kind = ModelLoadSource::Kind::kCheckpoint;
-    } else {
-      kind = ModelLoadSource::Kind::kEmbeddingsCsv;
-    }
-  }
-  switch (kind) {
-    case ModelLoadSource::Kind::kEmbeddingsCsv:
-      return LoadEmbeddingsCsvSource(source.path);
-    case ModelLoadSource::Kind::kCheckpoint:
-      return LoadCheckpointSource(source);
-    case ModelLoadSource::Kind::kSnapshot:
-      if (g_snapshot_loader == nullptr) {
-        return LoadFail(ModelLoadError::kUnsupportedFormat,
-                        "snapshot loading is not linked into this binary");
-      }
-      return g_snapshot_loader(source.path);
-    case ModelLoadSource::Kind::kAuto:
-      break;  // Resolved above.
-  }
-  return LoadFail(ModelLoadError::kUnsupportedFormat, "unknown source kind");
 }
 
 }  // namespace sarn::core

@@ -93,9 +93,7 @@ struct TrainOptions {
   std::string run_name = "sarn";
 };
 
-class SarnModel;
-
-/// Typed outcome of SarnModel::Load.
+/// Typed outcome of the SarnModel loads.
 enum class ModelLoadError {
   kOk = 0,
   kFileNotFound,          // Missing or unreadable path.
@@ -104,8 +102,6 @@ enum class ModelLoadError {
   kVariantMismatch,       // Checkpoint was written by a different encoder/
                           // augmentation/negatives combo (the message names
                           // both combos).
-  kUnsupportedFormat,     // Unrecognised extension, or the snapshot loader is
-                          // not linked into this binary.
 };
 const char* ModelLoadErrorName(ModelLoadError error);
 
@@ -116,34 +112,11 @@ struct ModelLoadStatus {
   bool ok() const { return error == ModelLoadError::kOk; }
 };
 
-/// One description of "where trained model state lives": an embeddings CSV,
-/// a weights file or rolling training checkpoint, or a .sarnsnap serving
-/// snapshot.
-struct ModelLoadSource {
-  enum class Kind {
-    kAuto,                // Sniff from the extension (.sarnsnap, .sarnckpt, else CSV).
-    kEmbeddingsCsv,       // Headerless n x d CSV of embedding rows.
-    kCheckpoint,          // SaveWeights file or rolling checkpoint written
-                          // by Train(); restores the online branch (needs
-                          // `network` + `config`).
-    kSnapshot,            // Serving snapshot with an embedded model matrix.
-  };
-  Kind kind = Kind::kAuto;
-  std::string path;
-  /// Checkpoint restores rebuild the architecture first; both fields are
-  /// ignored for the other kinds. `network` must outlive the loaded model.
-  const roadnet::RoadNetwork* network = nullptr;
-  SarnConfig config;
-};
-
 struct ModelLoadResult {
   ModelLoadError error = ModelLoadError::kOk;
   std::string message;
-  /// The [n, d] embedding matrix; defined on success for every kind.
+  /// The [n, d] embedding matrix; defined on success.
   tensor::Tensor embeddings;
-  /// The restored model; only set for checkpoint loads (the other formats
-  /// carry no encoder weights).
-  std::unique_ptr<SarnModel> model;
   bool ok() const { return error == ModelLoadError::kOk; }
 };
 
@@ -153,17 +126,15 @@ class SarnModel {
   /// registered (checked); unknown names abort with the available set.
   SarnModel(const roadnet::RoadNetwork& network, SarnConfig config);
 
-  /// One factory for every on-disk form of trained state (embeddings CSV,
-  /// training checkpoint, serving snapshot), with a typed error instead of
-  /// the per-format bool/optional mix the call sites used to juggle.
-  static ModelLoadResult Load(const ModelLoadSource& source);
+  /// Reads a headerless n x d CSV of embedding rows.
+  static ModelLoadResult LoadEmbeddingsCsv(const std::string& path);
 
-  /// Loader for ModelLoadSource::Kind::kSnapshot. The snapshot reader lives
-  /// above sarn_core in the link graph (sarn_snapshot -> sarn_tasks ->
-  /// sarn_core), so binaries that want snapshot loads install the hook at
-  /// startup (the CLI does); without it Load reports kUnsupportedFormat.
-  using SnapshotLoader = ModelLoadResult (*)(const std::string& path);
-  static void SetSnapshotLoader(SnapshotLoader loader);
+  /// Rebuilds the architecture of `config` over `network`, restores its
+  /// online branch from a SaveWeights file or rolling training checkpoint
+  /// (LoadWeights) and returns its Embeddings().
+  static ModelLoadResult LoadCheckpointEmbeddings(const std::string& path,
+                                                  const roadnet::RoadNetwork& network,
+                                                  const SarnConfig& config);
 
   /// Runs Algorithm 1 (with cosine-annealed Adam and loss-plateau early
   /// stopping) and leaves the online encoder ready for Embeddings().
@@ -260,9 +231,8 @@ class SarnModel {
   VariantTag variant_tag_;
   roadnet::SegmentFeatures features_;
   std::vector<SpatialEdge> spatial_edges_;
-  nn::EdgeList full_edges_;
-  /// The uncorrupted graph as a GraphView (edges = full_edges_, relations
-  /// split); what Embeddings()/EncodeForFineTune() encode over.
+  /// The uncorrupted graph as a GraphView; what Embeddings()/
+  /// EncodeForFineTune() encode over.
   GraphView full_view_;
 
   std::unique_ptr<nn::FeatureEmbedding> feature_embedding_;

@@ -46,28 +46,15 @@ GatLayer::GatLayer(int64_t in_dim, int64_t head_dim, int num_heads, bool concat_
   }
 }
 
-namespace {
-
-LayerEdges AllRowsEdges(const EdgeList* list) {
-  LayerEdges edges;
-  if (list == nullptr) return edges;
-  edges.src = &list->src;
-  edges.dst_in = &list->dst;
-  edges.dst_out = &list->dst;
-  edges.present = list->size() > 0;
-  return edges;
-}
-
-}  // namespace
-
-LayerGraph LayerGraph::AllRows(int64_t num_vertices, const EdgeList* edges,
-                               const EdgeList* topo, const EdgeList* spatial) {
+LayerGraph LayerGraph::AllRows(int64_t num_vertices, const EdgeList& edges,
+                               size_t topo_end, size_t spatial_end) {
+  SARN_CHECK(topo_end <= spatial_end && spatial_end <= edges.size());
   LayerGraph graph;
   graph.num_in = num_vertices;
   graph.num_out = num_vertices;
-  graph.edges = AllRowsEdges(edges);
-  graph.topo = AllRowsEdges(topo);
-  graph.spatial = AllRowsEdges(spatial);
+  graph.edges = {edges.src, edges.dst, edges.dst, edges.size() > 0};
+  graph.topo = graph.edges.Range(0, topo_end, topo_end > 0);
+  graph.spatial = graph.edges.Range(topo_end, spatial_end, spatial_end > topo_end);
   return graph;
 }
 
@@ -79,17 +66,16 @@ Tensor GatLayer::Forward(const Tensor& x, const EdgeList& edges) const {
   // augmented list is cached on the EdgeList, so a whole encoder stack (and
   // repeated Forward calls on the same view) builds it once.
   const EdgeList& graph = add_self_loops_ ? edges.WithSelfLoops(n) : edges;
-  return Forward(x, LayerGraph::AllRows(n, &graph, nullptr, nullptr));
+  return Forward(x, LayerGraph::AllRows(n, graph, 0, 0));
 }
 
 Tensor GatLayer::Forward(const Tensor& x, const LayerGraph& graph) const {
   SARN_TRACE_SPAN("gat_layer_forward");
   SARN_CHECK_EQ(x.rank(), 2);
   SARN_CHECK_EQ(x.shape()[0], graph.num_in);
-  SARN_CHECK(graph.edges.src != nullptr);
-  const std::vector<int64_t>& src = *graph.edges.src;
-  const std::vector<int64_t>& dst_in = *graph.edges.dst_in;
-  const std::vector<int64_t>& dst_out = *graph.edges.dst_out;
+  const std::span<const int64_t> src = graph.edges.src;
+  const std::span<const int64_t> dst_in = graph.edges.dst_in;
+  const std::span<const int64_t> dst_out = graph.edges.dst_out;
   const int64_t n_out = graph.num_out;
   int64_t e_count = static_cast<int64_t>(src.size());
 
@@ -200,8 +186,8 @@ GatEncoder::GatEncoder(int64_t in_dim, int64_t hidden_dim, int64_t out_dim,
 Tensor GatEncoder::Forward(const Tensor& x, const EdgeList& edges) const {
   SARN_CHECK_EQ(x.rank(), 2);
   const int64_t n = x.shape()[0];
-  std::vector<LayerGraph> layers(
-      layers_.size(), LayerGraph::AllRows(n, &edges.WithSelfLoops(n), nullptr, nullptr));
+  std::vector<LayerGraph> layers(layers_.size(),
+                                 LayerGraph::AllRows(n, edges.WithSelfLoops(n), 0, 0));
   return Forward(x, layers);
 }
 

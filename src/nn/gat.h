@@ -45,20 +45,25 @@ struct EdgeList {
   mutable size_t cached_edges_ = 0;
 };
 
-/// One relation's edges as one encoder layer reads them. The layer maps input
-/// rows [0, num_in) to output rows [0, num_out): `src` and `dst_in` index
-/// input rows, `dst_out` output rows. The vectors are borrowed for the
-/// Forward call (the ops copy the indices their backward needs).
+/// An edge set as one encoder layer reads it. The layer maps input rows
+/// [0, num_in) to output rows [0, num_out): `src` and `dst_in` index input
+/// rows, `dst_out` output rows. The indices are borrowed for the Forward call
+/// (the ops copy the indices their backward needs).
 struct LayerEdges {
-  const std::vector<int64_t>* src = nullptr;
-  const std::vector<int64_t>* dst_in = nullptr;
-  const std::vector<int64_t>* dst_out = nullptr;
+  std::span<const int64_t> src;
+  std::span<const int64_t> dst_in;
+  std::span<const int64_t> dst_out;
   /// Whether the graph view has edges of this relation at all. A relational
   /// layer runs the relation's term whenever it does, even when none of
   /// those edges reach this layer's rows.
   bool present = false;
 
-  size_t size() const { return src == nullptr ? 0 : src->size(); }
+  size_t size() const { return src.size(); }
+  /// Edges [begin, end) of this set.
+  LayerEdges Range(size_t begin, size_t end, bool range_present) const {
+    return {src.subspan(begin, end - begin), dst_in.subspan(begin, end - begin),
+            dst_out.subspan(begin, end - begin), range_present};
+  }
 };
 
 /// The part of a graph view one encoder layer runs on (DESIGN.md §17): the
@@ -72,15 +77,19 @@ struct LayerGraph {
   int64_t num_out = 0;
   /// Input row of each output row; nullptr when every row maps to itself.
   const std::vector<int64_t>* out_rows = nullptr;
-  /// All edges with the self-loops appended (what a GAT layer aggregates).
+  /// All edges: the topological ones, then the spatial ones, then (when the
+  /// list carries them) the self-loops. What a GAT layer aggregates.
   LayerEdges edges;
-  /// The topological and spatial relations (what an RFN layer aggregates).
+  /// The topological and spatial relations as two contiguous ranges of
+  /// `edges` (what an RFN layer aggregates).
   LayerEdges topo;
   LayerEdges spatial;
 
-  /// The all-rows layer over `num_vertices` rows. Any list may be null.
-  static LayerGraph AllRows(int64_t num_vertices, const EdgeList* edges,
-                            const EdgeList* topo, const EdgeList* spatial);
+  /// The all-rows layer over `num_vertices` rows and the whole of `edges`,
+  /// whose [0, topo_end) is the topological relation and
+  /// [topo_end, spatial_end) the spatial one.
+  static LayerGraph AllRows(int64_t num_vertices, const EdgeList& edges,
+                            size_t topo_end, size_t spatial_end);
 };
 
 /// One multi-head GAT layer.

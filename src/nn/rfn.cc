@@ -16,9 +16,9 @@ using tensor::Tensor;
 Tensor MeanAggregate(const Tensor& x, const LayerEdges& edges, int64_t num_out) {
   int64_t e_count = static_cast<int64_t>(edges.size());
   Tensor alpha =
-      tensor::EdgeSoftmax(Tensor::Zeros({e_count}), *edges.dst_out, num_out);
-  Tensor messages = tensor::ScaleRows(tensor::Rows(x, *edges.src), alpha);
-  return tensor::ScatterAddRows(messages, *edges.dst_out, num_out);  // [num_out, d]
+      tensor::EdgeSoftmax(Tensor::Zeros({e_count}), edges.dst_out, num_out);
+  Tensor messages = tensor::ScaleRows(tensor::Rows(x, edges.src), alpha);
+  return tensor::ScatterAddRows(messages, edges.dst_out, num_out);  // [num_out, d]
 }
 
 }  // namespace
@@ -29,10 +29,9 @@ RfnLayer::RfnLayer(int64_t in_dim, int64_t out_dim, Activation activation, Rng& 
       spatial_(in_dim, out_dim, rng, /*bias=*/false),
       activation_(activation) {}
 
-Tensor RfnLayer::Forward(const Tensor& x, const EdgeList& topo,
-                         const EdgeList& spatial) const {
+Tensor RfnLayer::Forward(const Tensor& x, const EdgeList& edges, size_t num_topo) const {
   SARN_CHECK_EQ(x.shape().size(), 2u);
-  return Forward(x, LayerGraph::AllRows(x.shape()[0], nullptr, &topo, &spatial));
+  return Forward(x, LayerGraph::AllRows(x.shape()[0], edges, num_topo, edges.size()));
 }
 
 Tensor RfnLayer::Forward(const Tensor& x, const LayerGraph& graph) const {
@@ -71,11 +70,11 @@ RfnEncoder::RfnEncoder(int64_t in_dim, int64_t hidden_dim, int64_t out_dim,
   layers_.emplace_back(in, out_dim, Activation::kNone, rng);
 }
 
-Tensor RfnEncoder::Forward(const Tensor& x, const EdgeList& topo,
-                           const EdgeList& spatial) const {
+Tensor RfnEncoder::Forward(const Tensor& x, const EdgeList& edges,
+                           size_t num_topo) const {
   SARN_CHECK_EQ(x.shape().size(), 2u);
   std::vector<LayerGraph> layers(
-      layers_.size(), LayerGraph::AllRows(x.shape()[0], nullptr, &topo, &spatial));
+      layers_.size(), LayerGraph::AllRows(x.shape()[0], edges, num_topo, edges.size()));
   return Forward(x, layers);
 }
 

@@ -32,12 +32,13 @@ class RfnLayer : public Module {
  public:
   RfnLayer(int64_t in_dim, int64_t out_dim, Activation activation, Rng& rng);
 
-  /// x: [n, in_dim]; `topo` aggregates src -> dst with uniform mean per dst,
-  /// `spatial` likewise (callers pass both directions of undirected spatial
-  /// edges). Either list may be empty. The all-rows case of the LayerGraph
+  /// x: [n, in_dim]; edges[0, num_topo) is the topological relation and the
+  /// rest the spatial one (callers pass both directions of undirected
+  /// spatial edges), each aggregated src -> dst with a uniform mean per dst.
+  /// Either relation may be empty. The all-rows case of the LayerGraph
   /// forward.
-  tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& topo,
-                         const EdgeList& spatial) const;
+  tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& edges,
+                         size_t num_topo) const;
 
   /// x: [graph.num_in, in_dim] -> [graph.num_out, output_dim()], over
   /// graph.topo and graph.spatial.
@@ -61,8 +62,8 @@ class RfnEncoder : public Module {
   RfnEncoder(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, int num_layers,
              Rng& rng);
 
-  tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& topo,
-                         const EdgeList& spatial) const;
+  tensor::Tensor Forward(const tensor::Tensor& x, const EdgeList& edges,
+                         size_t num_topo) const;
 
   /// One LayerGraph per layer; x: [layers[0].num_in, in_dim] ->
   /// [layers.back().num_out, out_dim()].

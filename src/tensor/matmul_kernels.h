@@ -10,11 +10,12 @@
 //             load instead of being re-streamed from cache per scalar. The
 //             reduction order per output element is unchanged (ascending
 //             k for the forward / dB, ascending j for dA), so results match
-//             the naive kernels bit-for-bit on finite inputs.
+//             the naive kernels bit-for-bit on finite inputs. The blocked
+//             forward is MatMulBlockedInit, which overwrites its output.
 //
 // All kernels operate on a row range [row_begin, row_end) of the output so
-// ParallelFor can partition them; `c` is accumulated into (callers zero or
-// pre-seed it).
+// ParallelFor can partition them. The backward kernels and MatMulNaive
+// accumulate into their output (callers zero or pre-seed it).
 
 #ifndef SARN_TENSOR_MATMUL_KERNELS_H_
 #define SARN_TENSOR_MATMUL_KERNELS_H_
@@ -32,14 +33,11 @@ inline constexpr int64_t kNr = 16;
 /// C[i,:] += A[i,:] * B for i in [row_begin, row_end). A: [m,k], B: [k,n].
 void MatMulNaive(const float* a, const float* b, float* c, int64_t row_begin,
                  int64_t row_end, int64_t k, int64_t n);
-void MatMulBlocked(const float* a, const float* b, float* c, int64_t row_begin,
-                   int64_t row_end, int64_t k, int64_t n);
 
-/// C[i,:] = A[i,:] * B (overwrite): the blocked forward kernel minus the
-/// accumulate-into-C contract. The register tile starts at +0.0f instead of
-/// being seeded from C, which is bit-identical to accumulating into a
-/// zeroed buffer — so MatMul can hand it an uninitialized output and skip
-/// the zero-fill pass plus the tile re-read entirely.
+/// C[i,:] = A[i,:] * B (overwrite): the blocked forward kernel. The register
+/// tile starts at +0.0f, which is bit-identical to MatMulNaive accumulating
+/// into a zeroed buffer — so MatMul can hand it an uninitialized output and
+/// skip the zero-fill pass entirely.
 void MatMulBlockedInit(const float* a, const float* b, float* c, int64_t row_begin,
                        int64_t row_end, int64_t k, int64_t n);
 

@@ -631,7 +631,7 @@ Tensor ScaleRows(const Tensor& a, const Tensor& scale) {
   });
 }
 
-Tensor Rows(const Tensor& a, const std::vector<int64_t>& indices) {
+Tensor Rows(const Tensor& a, std::span<const int64_t> indices) {
   RowMajor rm = Layout(a);
   int64_t m = static_cast<int64_t>(indices.size());
   Storage out = Storage::Uninitialized(static_cast<size_t>(m * rm.cols));
@@ -786,7 +786,7 @@ Tensor Dropout(const Tensor& a, float p, Rng& rng) {
                       });
 }
 
-Tensor EdgeSoftmax(const Tensor& scores, const std::vector<int64_t>& dst,
+Tensor EdgeSoftmax(const Tensor& scores, std::span<const int64_t> dst,
                    int64_t num_vertices) {
   SARN_CHECK(scores.rank() == 1 || (scores.rank() == 2 && scores.shape()[1] == 1));
   int64_t e_count = scores.numel();
@@ -831,7 +831,7 @@ Tensor EdgeSoftmax(const Tensor& scores, const std::vector<int64_t>& dst,
       });
 }
 
-Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
+Tensor ScatterAddRows(const Tensor& messages, std::span<const int64_t> dst,
                       int64_t num_vertices) {
   RowMajor rm = Layout(messages);
   SARN_CHECK_EQ(static_cast<int64_t>(dst.size()), rm.rows);
@@ -858,7 +858,7 @@ Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
 }
 
 Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
-                       const std::vector<int64_t>& src, const std::vector<int64_t>& dst,
+                       std::span<const int64_t> src, std::span<const int64_t> dst,
                        float negative_slope) {
   SARN_CHECK(!GradModeEnabled()) << "FusedEdgeScores is inference-only";
   SARN_CHECK_EQ(src.size(), dst.size());
@@ -877,9 +877,8 @@ Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
 }
 
 Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
-                              const std::vector<int64_t>& src,
-                              const std::vector<int64_t>& dst,
-                              float negative_slope) {
+                              std::span<const int64_t> src,
+                              std::span<const int64_t> dst, float negative_slope) {
   SARN_CHECK_EQ(src.size(), dst.size());
   int64_t e_count = static_cast<int64_t>(src.size());
   const Storage& ss = score_src.data();
@@ -930,7 +929,7 @@ Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
 }
 
 Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
-                        const std::vector<int64_t>& dst, int64_t num_vertices) {
+                        std::span<const int64_t> dst, int64_t num_vertices) {
   RowMajor rm = Layout(rows);
   SARN_CHECK_EQ(scale.numel(), rm.rows);
   SARN_CHECK_EQ(static_cast<int64_t>(dst.size()), rm.rows);
@@ -981,8 +980,8 @@ Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
       });
 }
 
-Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
-                               const std::vector<int64_t>& dst, const Tensor& alpha,
+Tensor FusedGatherScaleScatter(const Tensor& wx, std::span<const int64_t> src,
+                               std::span<const int64_t> dst, const Tensor& alpha,
                                int64_t num_vertices) {
   SARN_CHECK(!GradModeEnabled()) << "FusedGatherScaleScatter is inference-only";
   SARN_CHECK_EQ(src.size(), dst.size());

@@ -14,6 +14,8 @@
 #define SARN_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -75,7 +77,10 @@ Tensor DotRows(const Tensor& a, const Tensor& b);
 Tensor ScaleRows(const Tensor& a, const Tensor& scale);
 /// Gathers rows: out[r] = a[indices[r]]; backward scatter-adds. This is also
 /// the embedding-lookup primitive.
-Tensor Rows(const Tensor& a, const std::vector<int64_t>& indices);
+Tensor Rows(const Tensor& a, std::span<const int64_t> indices);
+inline Tensor Rows(const Tensor& a, std::initializer_list<int64_t> indices) {
+  return Rows(a, std::span<const int64_t>(indices.begin(), indices.size()));
+}
 /// out[r] = a[r, cols[r]] -> [m]; the cross-entropy gather.
 Tensor TakePerRow(const Tensor& a, const std::vector<int64_t>& cols);
 /// Contiguous column slice of a [m, n] tensor: out = a[:, col : col + count].
@@ -94,12 +99,22 @@ Tensor Dropout(const Tensor& a, float p, Rng& rng);
 /// Softmax of per-edge scores grouped by destination vertex:
 /// out[e] = exp(s[e] - max_dst) / sum_{e': dst[e']=dst[e]} exp(...).
 /// `scores` is [E] (or [E,1]); `dst[e]` in [0, num_vertices).
-Tensor EdgeSoftmax(const Tensor& scores, const std::vector<int64_t>& dst,
+Tensor EdgeSoftmax(const Tensor& scores, std::span<const int64_t> dst,
                    int64_t num_vertices);
+inline Tensor EdgeSoftmax(const Tensor& scores, std::initializer_list<int64_t> dst,
+                          int64_t num_vertices) {
+  return EdgeSoftmax(scores, std::span<const int64_t>(dst.begin(), dst.size()),
+                     num_vertices);
+}
 /// Sums per-edge message rows into destination vertices:
 /// out[v] = sum_{e: dst[e]=v} messages[e]; messages [E, d] -> out [num_vertices, d].
-Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
+Tensor ScatterAddRows(const Tensor& messages, std::span<const int64_t> dst,
                       int64_t num_vertices);
+inline Tensor ScatterAddRows(const Tensor& messages, std::initializer_list<int64_t> dst,
+                             int64_t num_vertices) {
+  return ScatterAddRows(messages, std::span<const int64_t>(dst.begin(), dst.size()),
+                        num_vertices);
+}
 
 // --- Fused inference-only ops (grad mode must be off) ---------------------------
 // Bitwise-identical fusions of the op chains GAT inference runs per layer;
@@ -109,13 +124,13 @@ Tensor ScatterAddRows(const Tensor& messages, const std::vector<int64_t>& dst,
 /// LeakyRelu(score_dst[dst[e]] + score_src[src[e]]) -> [E]. Fuses
 /// Reshape(LeakyRelu(Add(Rows(score_dst, dst), Rows(score_src, src))), {E}).
 Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
-                       const std::vector<int64_t>& src, const std::vector<int64_t>& dst,
+                       std::span<const int64_t> src, std::span<const int64_t> dst,
                        float negative_slope = 0.2f);
 
 /// out[dst[e]] += wx[src[e]] * alpha[e] -> [num_vertices, d]. Fuses
 /// ScatterAddRows(ScaleRows(Rows(wx, src), alpha), dst, num_vertices).
-Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src,
-                               const std::vector<int64_t>& dst, const Tensor& alpha,
+Tensor FusedGatherScaleScatter(const Tensor& wx, std::span<const int64_t> src,
+                               std::span<const int64_t> dst, const Tensor& alpha,
                                int64_t num_vertices);
 
 // --- Fused differentiable ops (grad-path fusion) --------------------------------
@@ -133,8 +148,7 @@ Tensor FusedGatherScaleScatter(const Tensor& wx, const std::vector<int64_t>& src
 /// inputs) and scatter-adds in ascending edge order, exactly like the
 /// unfused closures.
 Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
-                              const std::vector<int64_t>& src,
-                              const std::vector<int64_t>& dst,
+                              std::span<const int64_t> src, std::span<const int64_t> dst,
                               float negative_slope = 0.2f);
 
 /// Differentiable ScaleRows+ScatterAddRows: out[dst[e]] += rows[e] * scale[e]
@@ -143,7 +157,7 @@ Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
 /// Rows(wx, src) node is kept so wx receives its gradient contributions in
 /// the unfused order).
 Tensor ScaleScatterRows(const Tensor& rows, const Tensor& scale,
-                        const std::vector<int64_t>& dst, int64_t num_vertices);
+                        std::span<const int64_t> dst, int64_t num_vertices);
 
 }  // namespace sarn::tensor
 

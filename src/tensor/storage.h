@@ -40,6 +40,7 @@
 #include <cstring>
 #include <mutex>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -298,7 +299,7 @@ using PoolVec = std::vector<T, PoolAllocator<T>>;
 /// Pooled copy of an index list for backward-closure captures.
 using IndexVec = PoolVec<int64_t>;
 
-inline IndexVec MakeIndexVec(const std::vector<int64_t>& indices) {
+inline IndexVec MakeIndexVec(std::span<const int64_t> indices) {
   return IndexVec(indices.begin(), indices.end());
 }
 

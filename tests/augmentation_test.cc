@@ -5,10 +5,34 @@
 
 #include <gtest/gtest.h>
 
+#include "core/variant_registry.h"
+#include "roadnet/features.h"
 #include "roadnet/synthetic_city.h"
 
 namespace sarn::core {
 namespace {
+
+// The view contract the encoders rely on: `edges` holds surviving_topo
+// topological edges, in the network's order, then both directions of each
+// of the surviving_spatial spatial edges.
+void ExpectTopoThenSpatial(const GraphView& view, const roadnet::RoadNetwork& network) {
+  ASSERT_EQ(static_cast<int64_t>(view.edges.size()),
+            view.surviving_topo + 2 * view.surviving_spatial);
+  const auto& topo = network.topo_edges();
+  size_t next = 0;
+  for (int64_t e = 0; e < view.surviving_topo; ++e) {
+    const int64_t src = view.edges.src[static_cast<size_t>(e)];
+    const int64_t dst = view.edges.dst[static_cast<size_t>(e)];
+    while (next < topo.size() && (topo[next].from != src || topo[next].to != dst)) ++next;
+    ASSERT_LT(next, topo.size()) << "edge " << e << " is not the next topological edge";
+    ++next;
+  }
+  for (size_t e = static_cast<size_t>(view.surviving_topo); e < view.edges.size();
+       e += 2) {
+    EXPECT_EQ(view.edges.src[e], view.edges.dst[e + 1]) << "edge " << e;
+    EXPECT_EQ(view.edges.dst[e], view.edges.src[e + 1]) << "edge " << e;
+  }
+}
 
 class AugmentationTest : public testing::Test {
  protected:
@@ -66,8 +90,27 @@ TEST_F(AugmentationTest, RemovesRequestedFractions) {
   EXPECT_EQ(view.surviving_topo, expected_topo);
   EXPECT_EQ(view.surviving_spatial, expected_spatial);
   // Spatial edges contribute two directed edges each.
-  EXPECT_EQ(static_cast<int64_t>(view.edges.size()),
-            view.surviving_topo + 2 * view.surviving_spatial);
+  ExpectTopoThenSpatial(view, network_);
+}
+
+TEST_F(AugmentationTest, EveryRegisteredAugmentationListsTopoThenSpatial) {
+  const SarnConfig config;
+  const roadnet::SegmentFeatures features = roadnet::FeaturizeSegments(network_);
+  VariantContext context;
+  context.network = &network_;
+  context.config = &config;
+  context.features = &features;
+  context.spatial_edges = &spatial_edges_;
+  VariantRegistry& registry = VariantRegistry::Instance();
+  for (const std::string& name : registry.AugmentationNames()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Augmentation> augmentation = registry.MakeAugmentation(name, context);
+    Rng rng(9);
+    for (int draw = 0; draw < 3; ++draw) {
+      ExpectTopoThenSpatial(augmentation->MakeView(rng), network_);
+    }
+  }
+  ExpectTopoThenSpatial(FullGraphView(network_.topo_edges(), spatial_edges_), network_);
 }
 
 TEST_F(AugmentationTest, CouplingOnlyRemovesMore) {

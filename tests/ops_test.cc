@@ -120,21 +120,6 @@ struct MatMulDims {
 
 class MatMulKernelEquivalence : public ::testing::TestWithParam<MatMulDims> {};
 
-TEST_P(MatMulKernelEquivalence, ForwardMatchesNaive) {
-  auto [m, k, n] = GetParam();
-  Rng rng(42 + m + k + n);
-  Tensor a = Tensor::Randn({m, k}, rng);
-  Tensor b = Tensor::Randn({k, n}, rng);
-  std::vector<float> naive(static_cast<size_t>(m * n), 0.0f);
-  std::vector<float> blocked(static_cast<size_t>(m * n), 0.0f);
-  kernels::MatMulNaive(a.data().data(), b.data().data(), naive.data(), 0, m, k, n);
-  kernels::MatMulBlocked(a.data().data(), b.data().data(), blocked.data(), 0, m, k, n);
-  for (size_t i = 0; i < naive.size(); ++i) {
-    // Same per-element reduction order: bitwise equality, not just tolerance.
-    EXPECT_EQ(blocked[i], naive[i]) << "index " << i;
-  }
-}
-
 TEST_P(MatMulKernelEquivalence, InitOverwritesGarbageAndMatchesNaive) {
   auto [m, k, n] = GetParam();
   Rng rng(42 + m + k + n);
@@ -252,10 +237,10 @@ TEST_P(MatMulKernelEquivalence, RowRangeCoversPartition) {
   Tensor b = Tensor::Randn({k, n}, rng);
   std::vector<float> whole(static_cast<size_t>(m * n), 0.0f);
   std::vector<float> split(static_cast<size_t>(m * n), 0.0f);
-  kernels::MatMulBlocked(a.data().data(), b.data().data(), whole.data(), 0, m, k, n);
+  kernels::MatMulBlockedInit(a.data().data(), b.data().data(), whole.data(), 0, m, k, n);
   int64_t mid = m / 2 + (m > 2 ? 1 : 0);  // Deliberately off-center.
-  kernels::MatMulBlocked(a.data().data(), b.data().data(), split.data(), 0, mid, k, n);
-  kernels::MatMulBlocked(a.data().data(), b.data().data(), split.data(), mid, m, k, n);
+  kernels::MatMulBlockedInit(a.data().data(), b.data().data(), split.data(), 0, mid, k, n);
+  kernels::MatMulBlockedInit(a.data().data(), b.data().data(), split.data(), mid, m, k, n);
   for (size_t i = 0; i < whole.size(); ++i) {
     EXPECT_EQ(split[i], whole[i]) << "index " << i;
   }

@@ -17,6 +17,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,8 +38,7 @@ constexpr int64_t kVertices = 48;  // Vertex kVertices - 1 has no edges.
 constexpr int64_t kInDim = 6;
 
 // A view shaped like AugmentGraph's: topological edges, then both
-// directions of each spatial pair; `edges` is their concatenation. Some
-// edges repeat.
+// directions of each spatial pair. Some edges repeat.
 GraphView RandomView(uint64_t seed) {
   Rng rng(seed);
   GraphView view;
@@ -47,24 +47,35 @@ GraphView RandomView(uint64_t seed) {
     int64_t a = rng.UniformInt(0, last);
     int64_t b = rng.UniformInt(0, last);
     int copies = rng.Bernoulli(0.15) ? 2 : 1;
-    for (int c = 0; c < copies; ++c) view.topo_edges.Add(a, b);
+    for (int c = 0; c < copies; ++c) {
+      view.edges.Add(a, b);
+      ++view.surviving_topo;
+    }
   }
   for (int i = 0; i < 25; ++i) {
     int64_t a = rng.UniformInt(0, last);
     int64_t b = rng.UniformInt(0, last);
     int copies = rng.Bernoulli(0.15) ? 2 : 1;
     for (int c = 0; c < copies; ++c) {
-      view.spatial_edges.Add(a, b);
-      view.spatial_edges.Add(b, a);
+      view.edges.Add(a, b);
+      view.edges.Add(b, a);
+      ++view.surviving_spatial;
     }
   }
-  for (size_t e = 0; e < view.topo_edges.size(); ++e) {
-    view.edges.Add(view.topo_edges.src[e], view.topo_edges.dst[e]);
-  }
-  for (size_t e = 0; e < view.spatial_edges.size(); ++e) {
-    view.edges.Add(view.spatial_edges.src[e], view.spatial_edges.dst[e]);
-  }
   return view;
+}
+
+// The view's topological and spatial relations as two separate lists: its
+// edges split at surviving_topo.
+std::pair<nn::EdgeList, nn::EdgeList> SplitRelations(const GraphView& view) {
+  std::pair<nn::EdgeList, nn::EdgeList> relations;
+  for (size_t e = 0; e < view.edges.size(); ++e) {
+    nn::EdgeList& list = static_cast<int64_t>(e) < view.surviving_topo
+                             ? relations.first
+                             : relations.second;
+    list.Add(view.edges.src[e], view.edges.dst[e]);
+  }
+  return relations;
 }
 
 // One feature column of ids 0..n-1 (the builder gathers it for R_0).
@@ -146,10 +157,9 @@ void ExpectEdgesMatch(const nn::EdgeList& list, const std::vector<int64_t>& in,
     dst_in.push_back(IndexOf(in, list.dst[e]));
     dst_out.push_back(IndexOf(out, list.dst[e]));
   }
-  ASSERT_NE(got.src, nullptr);
-  EXPECT_EQ(*got.src, src);
-  EXPECT_EQ(*got.dst_in, dst_in);
-  EXPECT_EQ(*got.dst_out, dst_out);
+  EXPECT_EQ(std::vector<int64_t>(got.src.begin(), got.src.end()), src);
+  EXPECT_EQ(std::vector<int64_t>(got.dst_in.begin(), got.dst_in.end()), dst_in);
+  EXPECT_EQ(std::vector<int64_t>(got.dst_out.begin(), got.dst_out.end()), dst_out);
   EXPECT_EQ(got.present, list.size() > 0);
 }
 
@@ -157,8 +167,8 @@ TEST(ReceptiveFieldBuilder, MatchesBruteForceHalo) {
   const GraphView view = RandomView(1);
   const auto ids = IdentityIds();
   const nn::EdgeList& with_loops = view.edges.WithSelfLoops(kVertices);
-  const std::vector<nn::EdgeList> lists = {with_loops, view.topo_edges,
-                                           view.spatial_edges};
+  const auto [topo, spatial] = SplitRelations(view);
+  const std::vector<nn::EdgeList> lists = {with_loops, topo, spatial};
   for (int layers : {1, 2, 3}) {
     ReceptiveField field;
     field.Bind(view, ids, kVertices, layers);
@@ -189,16 +199,20 @@ TEST(ReceptiveFieldBuilder, MatchesBruteForceHalo) {
           EXPECT_EQ(in[static_cast<size_t>((*layer.out_rows)[j])], out[j]);
         }
         ExpectEdgesMatch(with_loops, in, out, layer.edges);
-        ExpectEdgesMatch(view.topo_edges, in, out, layer.topo);
-        ExpectEdgesMatch(view.spatial_edges, in, out, layer.spatial);
+        ExpectEdgesMatch(topo, in, out, layer.topo);
+        ExpectEdgesMatch(spatial, in, out, layer.spatial);
+        // The relations are consecutive ranges at the front of layer.edges.
+        EXPECT_EQ(layer.topo.src.data(), layer.edges.src.data());
+        EXPECT_EQ(layer.spatial.dst_out.data(),
+                  layer.edges.dst_out.data() + layer.topo.size());
         EXPECT_EQ(field.edges(l), static_cast<int64_t>(layer.edges.size()));
         // The self-loops of R_{l+1} close the list, in row order.
         const size_t e_count = layer.edges.size();
         ASSERT_GE(e_count, out.size());
         for (size_t j = 0; j < out.size(); ++j) {
           size_t e = e_count - out.size() + j;
-          EXPECT_EQ((*layer.edges.dst_out)[e], static_cast<int64_t>(j));
-          EXPECT_EQ((*layer.edges.src)[e], (*layer.out_rows)[j]);
+          EXPECT_EQ(layer.edges.dst_out[e], static_cast<int64_t>(j));
+          EXPECT_EQ(layer.edges.src[e], (*layer.out_rows)[j]);
         }
       }
     }
@@ -220,9 +234,13 @@ TEST(ReceptiveFieldBuilder, AllRowsBorrowsTheView) {
     EXPECT_EQ(layer.num_in, kVertices);
     EXPECT_EQ(layer.num_out, kVertices);
     EXPECT_EQ(layer.out_rows, nullptr);
-    EXPECT_EQ(layer.edges.src, &view.edges.WithSelfLoops(kVertices).src);
-    EXPECT_EQ(layer.topo.src, &view.topo_edges.src);
-    EXPECT_EQ(layer.spatial.dst_out, &view.spatial_edges.dst);
+    const nn::EdgeList& with_loops = view.edges.WithSelfLoops(kVertices);
+    EXPECT_EQ(layer.edges.src.data(), with_loops.src.data());
+    EXPECT_EQ(layer.edges.size(), with_loops.size());
+    EXPECT_EQ(layer.topo.src.data(), with_loops.src.data());
+    EXPECT_EQ(static_cast<int64_t>(layer.topo.size()), view.surviving_topo);
+    EXPECT_EQ(layer.spatial.dst_out.data(), with_loops.dst.data() + view.surviving_topo);
+    EXPECT_EQ(static_cast<int64_t>(layer.spatial.size()), 2 * view.surviving_spatial);
   }
   EXPECT_EQ(field.rows(0), kVertices);
   EXPECT_EQ(field.edges(1),
@@ -327,7 +345,7 @@ TEST_P(RestrictedLayerTest, RfnLayerMatchesFullGraph) {
   nn::RfnLayer layer(kInDim, 5, nn::Activation::kElu, rng);
   Forwards f;
   f.full = [&](const Tensor& x, const GraphView& v) {
-    return layer.Forward(x, v.topo_edges, v.spatial_edges);
+    return layer.Forward(x, v.edges, static_cast<size_t>(v.surviving_topo));
   };
   f.restricted = [&](const Tensor& x, std::span<const nn::LayerGraph> g) {
     return layer.Forward(x, g[0]);
@@ -354,7 +372,7 @@ TEST_P(RestrictedLayerTest, TwoLayerRfnEncoderMatchesFullGraph) {
   nn::RfnEncoder encoder(kInDim, 8, 4, /*num_layers=*/2, rng);
   Forwards f;
   f.full = [&](const Tensor& x, const GraphView& v) {
-    return encoder.Forward(x, v.topo_edges, v.spatial_edges);
+    return encoder.Forward(x, v.edges, static_cast<size_t>(v.surviving_topo));
   };
   f.restricted = [&](const Tensor& x, std::span<const nn::LayerGraph> g) {
     return encoder.Forward(x, g);
@@ -386,7 +404,7 @@ TEST(RestrictedLayer, RfnBatchOfTheIsolatedVertexMatchesFullGraph) {
   ASSERT_TRUE(field.layers()[0].topo.present);
 
   const Tensor x = Tensor::Randn({kVertices, kInDim}, rng);
-  Tensor full = layer.Forward(x, view.topo_edges, view.spatial_edges);
+  Tensor full = layer.Forward(x, view.edges, static_cast<size_t>(view.surviving_topo));
   Tensor sub = layer.Forward(tensor::Rows(x, batch), field.layers()[0]);
   EXPECT_TRUE(BitsEqual(GatherRows(full.data(), full.shape()[1], batch), sub.data()));
 }
@@ -431,7 +449,7 @@ TEST(AllRows, MatchesTheFullGraphForwardBeforeReceptiveFieldSteps) {
   const uint64_t rfn_digest = AllRowsDigest(
       rfn,
       [&](const Tensor& x, const GraphView& v) {
-        return rfn.Forward(x, v.topo_edges, v.spatial_edges);
+        return rfn.Forward(x, v.edges, static_cast<size_t>(v.surviving_topo));
       },
       1);
   EXPECT_EQ(gat_digest, 0x618e591069756a5full) << std::hex << gat_digest;

@@ -104,48 +104,16 @@ bool SaveEmbeddingsCsv(const tensor::Tensor& embeddings, const std::string& path
   return WriteCsvFile(path, table);
 }
 
-// All model-state reads go through the SarnModel::Load factory (typed
+// Embeddings CSV reads go through SarnModel::LoadEmbeddingsCsv (typed
 // errors); this wrapper keeps the optional-shaped call sites readable.
 std::optional<tensor::Tensor> LoadEmbeddingsCsv(const std::string& path) {
-  core::ModelLoadSource source;
-  source.kind = core::ModelLoadSource::Kind::kEmbeddingsCsv;
-  source.path = path;
-  core::ModelLoadResult result = core::SarnModel::Load(source);
+  core::ModelLoadResult result = core::SarnModel::LoadEmbeddingsCsv(path);
   if (!result.ok()) {
     SARN_LOG(Warning) << "[" << core::ModelLoadErrorName(result.error) << "] "
                       << result.message;
     return std::nullopt;
   }
   return result.embeddings;
-}
-
-/// SarnModel::Load's .sarnsnap branch. The snapshot reader sits above
-/// sarn_core in the link graph, so the CLI installs this hook at startup
-/// (Main); it adopts the embedded model matrix of a serving snapshot.
-core::ModelLoadResult LoadSnapshotEmbeddings(const std::string& path) {
-  core::ModelLoadResult result;
-  snapshot::LoadedSnapshot loaded;
-  snapshot::SnapshotStatus status = snapshot::LoadServingSnapshot(
-      path, tasks::IndexPrecision::kFloat32, &loaded);
-  if (!status.ok()) {
-    result.error = status.error == snapshot::SnapshotError::kIoError
-                       ? core::ModelLoadError::kFileNotFound
-                       : core::ModelLoadError::kParseError;
-    result.message = std::string("[") + snapshot::SnapshotErrorName(status.error) +
-                     "] " + status.message;
-    return result;
-  }
-  if (loaded.model_embeddings.empty()) {
-    result.error = core::ModelLoadError::kUnsupportedFormat;
-    result.message = path + " has no embedded model matrix (saved with "
-                     "--include-model false)";
-    return result;
-  }
-  result.embeddings = tensor::Tensor::FromVector(
-      {loaded.meta.n, loaded.meta.d},
-      std::vector<float>(loaded.model_embeddings.begin(),
-                         loaded.model_embeddings.end()));
-  return result;
 }
 
 std::string JoinNames(const std::vector<std::string>& names) {
@@ -609,30 +577,26 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
     }
   }
 
-  // Both sources flow through the SarnModel::Load factory; the checkpoint
-  // branch rebuilds the architecture, restores the online encoder and
-  // exports Embeddings().
-  core::ModelLoadSource source;
+  // The checkpoint branch rebuilds the architecture, restores the online
+  // encoder and exports Embeddings().
+  core::ModelLoadResult loaded;
   if (!args.embeddings.empty()) {
-    source.kind = core::ModelLoadSource::Kind::kEmbeddingsCsv;
-    source.path = args.embeddings;
+    loaded = core::SarnModel::LoadEmbeddingsCsv(args.embeddings);
   } else {
     if (!network.has_value()) {
       return Fail("snapshot save: --checkpoint needs --network (the graph the "
                   "encoder runs on)");
     }
-    source.kind = core::ModelLoadSource::Kind::kCheckpoint;
-    source.path = args.checkpoint;
-    source.network = &*network;
-    source.config.embedding_dim = args.dim;
-    source.config.hidden_dim = args.dim;
-    source.config.projection_dim = std::max<int64_t>(8, args.dim / 2);
-    if (auto error = args.variant.Apply(source.config)) {
+    core::SarnConfig config;
+    config.embedding_dim = args.dim;
+    config.hidden_dim = args.dim;
+    config.projection_dim = std::max<int64_t>(8, args.dim / 2);
+    if (auto error = args.variant.Apply(config)) {
       return Fail("snapshot save: " + *error);
     }
-    core::FitCellSideToNetwork(source.config, *network);
+    core::FitCellSideToNetwork(config, *network);
+    loaded = core::SarnModel::LoadCheckpointEmbeddings(args.checkpoint, *network, config);
   }
-  core::ModelLoadResult loaded = core::SarnModel::Load(source);
   if (!loaded.ok()) {
     return Fail(std::string("snapshot save: [") +
                 core::ModelLoadErrorName(loaded.error) + "] " + loaded.message);
@@ -1200,9 +1164,6 @@ int Usage() {
 
 int Main(int argc, char** argv) {
   InitLogLevelFromEnv();
-  // The CLI links the snapshot reader, so SarnModel::Load can cover the
-  // .sarnsnap branch of its unified source enum here.
-  core::SarnModel::SetSnapshotLoader(&LoadSnapshotEmbeddings);
   if (argc < 2) return Usage();
   std::string name = argv[1];
   if (name == "--help" || name == "-h" || name == "help") {

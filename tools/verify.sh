@@ -19,7 +19,8 @@
 #      allocation pins (EmbeddingIndexTest.QueryBatchBuildsNoTapeNodesAndNo-
 #      SteadyStateAllocs, QuantizedIndexTest.SteadyStateQueriesAreAllocation-
 #      Free) run 50 times back to back, the serve label runs 20 times and
-#      the checkpoint and snapshot labels 10 times each under
+#      the checkpoint, snapshot, encoder (golden-trace and receptive-field
+#      pins) and obs (request-trace ring) labels 10 times each under
 #      ctest -j$(nproc), so an invariant that holds only under some thread
 #      schedules fails here instead of as a rare flake;
 #   5. the SIMD suite (ctest -L simd: scalar-vs-vector bitwise identity,
@@ -110,6 +111,10 @@ if [[ "$mode" != "--tsan-only" ]]; then
   (cd build && ctest --output-on-failure -L checkpoint --repeat until-fail:10 \
     -j"$jobs")
   (cd build && ctest --output-on-failure -L snapshot --repeat until-fail:10 \
+    -j"$jobs")
+  (cd build && ctest --output-on-failure -L encoder --repeat until-fail:10 \
+    -j"$jobs")
+  (cd build && ctest --output-on-failure -L obs --repeat until-fail:10 \
     -j"$jobs")
   # Serve smoke: NDJSON in, validated NDJSON out, one ok:true per query.
   serve_dir="build/verify_serve"
