@@ -142,32 +142,62 @@ BENCHMARK(BM_SpawnJoinDispatch);
 
 // --- MatMul kernels ---------------------------------------------------------
 // Raw kernel comparison (no autograd/tensor overhead): the seed's naive
-// i/k/j loops vs the register-tiled kernels that replaced them.
+// i/k/j loops vs the register-tiled kernels that replaced them, and the
+// AVX2 kernels on the GAT attention-score GEMMs ([rows, F] x [F, 1] per
+// head, forward and dB) at the receptive-field sizes of a train-city step:
+// 1345 rows x 16 head features at layer 0, 538 x 64 at layer 1. The blocked
+// kernels run those as scalar edge tiles; AVX2 takes its row-lane narrow
+// path. Args: m, k, n of C[m, n] = A[m, k] * B[k, n].
+
+// Skips an AVX2-kernel row on a host without AVX2.
+bool SkipWithoutAvx2(benchmark::State& state, bool needs_avx2) {
+#if defined(SARN_HAVE_AVX2_KERNELS)
+  if (!needs_avx2 || tensor::kernels::MatMulAvx2Supported()) return false;
+#else
+  if (!needs_avx2) return false;
+#endif
+  state.SkipWithError("host lacks AVX2");
+  return true;
+}
 
 template <void (*Kernel)(const float*, const float*, float*, int64_t, int64_t,
-                         int64_t, int64_t)>
+                         int64_t, int64_t),
+          bool kNeedsAvx2 = false>
 void BM_MatMulKernel(benchmark::State& state) {
-  int64_t n = state.range(0);
+  if (SkipWithoutAvx2(state, kNeedsAvx2)) return;
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
   Rng rng(1);
-  tensor::Tensor a = tensor::Tensor::Randn({n, n}, rng);
-  tensor::Tensor b = tensor::Tensor::Randn({n, n}, rng);
-  std::vector<float> c(static_cast<size_t>(n * n), 0.0f);
+  tensor::Tensor a = tensor::Tensor::Randn({m, k}, rng);
+  tensor::Tensor b = tensor::Tensor::Randn({k, n}, rng);
+  std::vector<float> c(static_cast<size_t>(m * n), 0.0f);
   for (auto _ : state) {
-    Kernel(a.data().data(), b.data().data(), c.data(), 0, n, n, n);
+    Kernel(a.data().data(), b.data().data(), c.data(), 0, m, k, n);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * m * k * n);
 }
 BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulNaive>)
     ->Name("BM_MatMulKernelNaive")
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(512);
+    ->ArgNames({"m", "k", "n"})
+    ->Args({64, 64, 64})
+    ->Args({256, 256, 256})
+    ->Args({512, 512, 512});
 BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulBlockedInit>)
     ->Name("BM_MatMulKernelBlockedInit")
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(512);
+    ->ArgNames({"m", "k", "n"})
+    ->Args({64, 64, 64})
+    ->Args({256, 256, 256})
+    ->Args({512, 512, 512})
+    ->Args({1345, 16, 1})
+    ->Args({538, 64, 1});
+#if defined(SARN_HAVE_AVX2_KERNELS)
+BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulInitAvx2, true>)
+    ->Name("BM_MatMulKernelInitAvx2")
+    ->ArgNames({"m", "k", "n"})
+    ->Args({1345, 16, 1})
+    ->Args({538, 64, 1});
+#endif
 
 template <void (*Kernel)(const float*, const float*, float*, int64_t, int64_t,
                          int64_t, int64_t)>
@@ -190,26 +220,41 @@ BENCHMARK(BM_MatMulGradAKernel<tensor::kernels::MatMulGradABlocked>)
     ->Name("BM_MatMulGradAKernelBlocked")
     ->Arg(256);
 
+// dB[k, n] += A[m, k]^T * G[m, n]. Args: m, k, n.
 template <void (*Kernel)(const float*, const float*, float*, int64_t, int64_t,
-                         int64_t, int64_t, int64_t)>
+                         int64_t, int64_t, int64_t),
+          bool kNeedsAvx2 = false>
 void BM_MatMulGradBKernel(benchmark::State& state) {
-  int64_t n = state.range(0);
+  if (SkipWithoutAvx2(state, kNeedsAvx2)) return;
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
   Rng rng(1);
-  tensor::Tensor a = tensor::Tensor::Randn({n, n}, rng);
-  tensor::Tensor g = tensor::Tensor::Randn({n, n}, rng);
-  std::vector<float> db(static_cast<size_t>(n * n), 0.0f);
+  tensor::Tensor a = tensor::Tensor::Randn({m, k}, rng);
+  tensor::Tensor g = tensor::Tensor::Randn({m, n}, rng);
+  std::vector<float> db(static_cast<size_t>(k * n), 0.0f);
   for (auto _ : state) {
-    Kernel(a.data().data(), g.data().data(), db.data(), 0, n, n, n, n);
+    Kernel(a.data().data(), g.data().data(), db.data(), 0, k, m, k, n);
     benchmark::DoNotOptimize(db.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * m * k * n);
 }
 BENCHMARK(BM_MatMulGradBKernel<tensor::kernels::MatMulGradBNaive>)
     ->Name("BM_MatMulGradBKernelNaive")
-    ->Arg(256);
+    ->ArgNames({"m", "k", "n"})
+    ->Args({256, 256, 256});
 BENCHMARK(BM_MatMulGradBKernel<tensor::kernels::MatMulGradBBlocked>)
     ->Name("BM_MatMulGradBKernelBlocked")
-    ->Arg(256);
+    ->ArgNames({"m", "k", "n"})
+    ->Args({256, 256, 256})
+    ->Args({1345, 16, 1})
+    ->Args({538, 64, 1});
+#if defined(SARN_HAVE_AVX2_KERNELS)
+BENCHMARK(BM_MatMulGradBKernel<tensor::kernels::MatMulGradBAvx2, true>)
+    ->Name("BM_MatMulGradBKernelAvx2")
+    ->ArgNames({"m", "k", "n"})
+    ->Args({1345, 16, 1})
+    ->Args({538, 64, 1});
+#endif
 
 void BM_MatMul(benchmark::State& state) {
   int64_t n = state.range(0);

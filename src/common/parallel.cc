@@ -198,7 +198,9 @@ void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& body,
   if (grain == 0) grain = 1;
   ThreadPool& pool = ThreadPool::Instance();
   size_t threads = pool.threads();
-  if (t_in_parallel_region || threads <= 1 || n < grain) {
+  // n <= grain is a region of one chunk: nothing to hand out, and waking
+  // the workers would only add their wake latency to the caller's.
+  if (t_in_parallel_region || threads <= 1 || n <= grain) {
     g_stat_serial_regions.fetch_add(1, std::memory_order_relaxed);
     body(0, n);
     return;

@@ -402,6 +402,8 @@ TrainStats ContrastiveTrainer::Run(const TrainOptions& options) {
       record.checkpoint_bytes = checkpoint_bytes;
       record.checkpoint_seconds = phases.checkpoint_write;
       record.pool_regions = pool_after.regions - pool_before.regions;
+      record.pool_serial_regions =
+          pool_after.serial_regions - pool_before.serial_regions;
       record.pool_chunks = pool_after.chunks - pool_before.chunks;
       record.pool_items = pool_after.items - pool_before.items;
       record.pool_idle_seconds =

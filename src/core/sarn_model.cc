@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/csv.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "core/contrastive_trainer.h"
 #include "core/variant_registry.h"
@@ -212,10 +211,7 @@ ModelLoadStatus SarnModel::LoadWeights(const std::string& path) {
   } else {
     status = StageModelSections(*arena, &staged);
   }
-  if (!status.ok()) {
-    SARN_LOG(Warning) << "checkpoint " << status.message;
-    return status;
-  }
+  if (!status.ok()) return status;  // The caller reports it; no second log line.
   std::vector<Tensor> online = OnlineParameters();
   for (size_t i = 0; i < online.size(); ++i) {
     online[i].mutable_data() = std::move(staged[i]);

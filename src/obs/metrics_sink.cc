@@ -98,6 +98,8 @@ std::string EpochRecordToJson(const EpochRecord& record) {
   std::string pool = "{";
   bool pool_first = true;
   AppendField(&pool, "regions", std::to_string(record.pool_regions), &pool_first);
+  AppendField(&pool, "serial_regions", std::to_string(record.pool_serial_regions),
+              &pool_first);
   AppendField(&pool, "chunks", std::to_string(record.pool_chunks), &pool_first);
   AppendField(&pool, "items", std::to_string(record.pool_items), &pool_first);
   AppendField(&pool, "idle_seconds", JsonNumber(record.pool_idle_seconds),

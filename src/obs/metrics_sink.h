@@ -68,6 +68,7 @@ struct EpochRecord {
 
   // Thread-pool activity during the epoch (deltas of the global stats).
   uint64_t pool_regions = 0;
+  uint64_t pool_serial_regions = 0;  // Regions that ran inline on the caller.
   uint64_t pool_chunks = 0;
   uint64_t pool_items = 0;
   double pool_idle_seconds = 0.0;

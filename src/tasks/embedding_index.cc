@@ -170,11 +170,7 @@ void FusedScan(size_t b, int64_t n, int k, const int64_t* excludes,
       for (int qi = 0; qi < qn; ++qi) (*results)[g + qi] = accs[qi].Finish();
     }
   };
-  if (blocks == 1) {
-    run_blocks(0, 1);  // Nothing to spread: skip the pool wake-up.
-  } else {
-    ParallelFor(blocks, run_blocks, /*grain=*/1);
-  }
+  ParallelFor(blocks, run_blocks, /*grain=*/1);  // One block runs inline.
 }
 
 }  // namespace

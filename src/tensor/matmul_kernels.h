@@ -68,6 +68,7 @@ bool MatMulCompiledAvailable();
 bool MatMulAvx2Supported();
 
 /// C[i,:] = A[i,:] * B (overwrite, zero seed) — MatMulBlockedInit, 8-wide.
+/// For n < 16 the lanes are 8 output rows instead of 8 columns.
 void MatMulInitAvx2(const float* a, const float* b, float* c, int64_t row_begin,
                     int64_t row_end, int64_t k, int64_t n);
 
@@ -76,7 +77,8 @@ void MatMulInitAvx2(const float* a, const float* b, float* c, int64_t row_begin,
 void MatMulGradATAvx2(const float* g, const float* bt, float* da,
                       int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
 
-/// dB[kk,:] += (A^T * G)[kk,:] — MatMulGradBBlocked, 8-wide.
+/// dB[kk,:] += (A^T * G)[kk,:] — MatMulGradBBlocked, 8-wide. For n < 16
+/// the lanes are 8 dB rows (kk) instead of 8 columns.
 void MatMulGradBAvx2(const float* a, const float* g, float* db,
                      int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
                      int64_t n);

@@ -145,11 +145,20 @@ Tensor Reciprocal(const Tensor& a) {
       [](float, float out) { return -out * out; });
 }
 
-// Rows per parallel matmul chunk: >= ~64k multiply-adds each, rounded up to
-// the register-tile height so only a chunk's last tile can be partial.
+// Multiply-adds a parallel matmul chunk must hold. A region wakes the
+// parked workers, and the last of them starts ~10 µs after the notify at
+// the median and up to ~1 ms in the tail; a smaller chunk does not repay
+// that. GEMMs below the floor — most of a receptive-field training step —
+// are one chunk and run inline (DESIGN.md §7 has the wake measurement and
+// the sweep that chose 2^20 over 2^18 and 2^22).
+constexpr size_t kMatMulChunkMacs = size_t{1} << 20;
+
+// Rows per parallel matmul chunk: >= kMatMulChunkMacs multiply-adds each,
+// rounded up to the register-tile height so only a chunk's last tile can be
+// partial.
 size_t MatMulRowGrain(int64_t reduce, int64_t cols) {
-  size_t grain =
-      std::max<size_t>(1, 65536 / static_cast<size_t>(std::max<int64_t>(1, reduce * cols)));
+  size_t grain = std::max<size_t>(
+      1, kMatMulChunkMacs / static_cast<size_t>(std::max<int64_t>(1, reduce * cols)));
   size_t mr = static_cast<size_t>(kernels::kMr);
   return (grain + mr - 1) / mr * mr;
 }
@@ -293,8 +302,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // calling thread so pool workers running a row range and the backward
   // closure agree with the forward.
   const bool compiled = kernels::MatMulCompiledAvailable();
-  // Split so each chunk holds >= ~64k multiply-adds; chunks of kMr rows keep
-  // the register tiles full except at a range boundary.
+  // Split so each chunk holds >= kMatMulChunkMacs multiply-adds; chunks of
+  // kMr rows keep the register tiles full except at a range boundary.
   size_t grain = MatMulRowGrain(k, n);
   ParallelFor(
       static_cast<size_t>(m),

@@ -20,6 +20,12 @@
 // since every element's chain is independent, mixing vector full tiles with
 // scalar edge tiles cannot change any result. ops_test pins the bitwise
 // scalar-vs-AVX2 identity on tile-multiple, remainder and degenerate shapes.
+//
+// Narrow outputs (n < 16, e.g. the [rows, 1] GAT attention scores) have no
+// full 16-column tile, so the forward and dB kernels turn the lanes the
+// other way: 8 output ROWS per vector, each vector one output column. Each
+// lane still carries one element's own chain (same seed, same mul-then-add
+// order), so the identity holds on this path too.
 
 #if defined(SARN_HAVE_AVX2_KERNELS)
 
@@ -54,12 +60,143 @@ inline void ScalarTail(int64_t reduce, LeftAt left_at, const float* right,
   }
 }
 
+// Lane count of the narrow (n < kTileCols) path: 8 output rows per vector.
+constexpr int64_t kLanes = 8;
+
+// In-register transpose: on return r[q] holds column q of the 8x8 block
+// whose rows were r[0..7]. Pure data movement.
+inline void Transpose8x8(__m256 r[kLanes]) {
+  __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// Element (lane, j) of an 8-row block of a row-major [., n] matrix lives at
+// base[lane * n + j]; n == 1 makes each column one contiguous vector.
+inline __m256 LoadColumn(const float* base, int64_t n, int64_t j) {
+  if (n == 1) return _mm256_loadu_ps(base);
+  alignas(32) float v[kLanes];
+  for (int64_t lane = 0; lane < kLanes; ++lane) v[lane] = base[lane * n + j];
+  return _mm256_load_ps(v);
+}
+
+inline void StoreColumn(__m256 v, float* base, int64_t n, int64_t j) {
+  if (n == 1) {
+    _mm256_storeu_ps(base, v);
+    return;
+  }
+  alignas(32) float lanes[kLanes];
+  _mm256_store_ps(lanes, v);
+  for (int64_t lane = 0; lane < kLanes; ++lane) base[lane * n + j] = lanes[lane];
+}
+
+// Forward for n < kTileCols, output column j: C[i, j] = +0 + sum_kk
+// A[i, kk] * B[kk, j], ascending kk, with rows i0 .. i0 + 7 in the lanes.
+// A's 8 x 8 blocks are transposed in registers so each kk step is one
+// vector of 8 rows.
+void NarrowInitColumn(const float* a, const float* b, float* c, int64_t row_begin,
+                      int64_t row_end, int64_t k, int64_t n, int64_t j) {
+  int64_t i0 = row_begin;
+  for (; i0 + kLanes <= row_end; i0 += kLanes) {
+    __m256 acc = _mm256_setzero_ps();
+    const float* ablock = a + i0 * k;
+    int64_t kk = 0;
+    for (; kk + kLanes <= k; kk += kLanes) {
+      __m256 col[kLanes];
+      for (int64_t q = 0; q < kLanes; ++q) col[q] = _mm256_loadu_ps(ablock + q * k + kk);
+      Transpose8x8(col);
+      for (int64_t q = 0; q < kLanes; ++q) {
+        __m256 bv = _mm256_set1_ps(b[(kk + q) * n + j]);
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(col[q], bv));
+      }
+    }
+    for (; kk < k; ++kk) {
+      __m256 av = _mm256_set_ps(ablock[7 * k + kk], ablock[6 * k + kk],
+                                ablock[5 * k + kk], ablock[4 * k + kk],
+                                ablock[3 * k + kk], ablock[2 * k + kk],
+                                ablock[k + kk], ablock[kk]);
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(av, _mm256_set1_ps(b[kk * n + j])));
+    }
+    StoreColumn(acc, c + i0 * n, n, j);
+  }
+  for (; i0 < row_end; ++i0) {
+    float acc = 0.0f;
+    for (int64_t kk = 0; kk < k; ++kk) acc += a[i0 * k + kk] * b[kk * n + j];
+    c[i0 * n + j] = acc;
+  }
+}
+
+// dB for n < kTileCols, output column j: dB[kk, j] seeded from dB,
+// += A[i, kk] * G[i, j] ascending i, with kk rows in the lanes (contiguous
+// in A's rows). kB lane blocks run side by side: each chain is m adds long,
+// so independent blocks are what keeps the adder busy. The rows left over
+// go to the kB / 2 variant, down to single blocks and then scalar rows.
+template <int64_t kB>
+void NarrowGradBColumn(const float* a, const float* g, float* db, int64_t row_begin,
+                       int64_t row_end, int64_t m, int64_t k, int64_t n, int64_t j) {
+  constexpr int64_t kSpan = kB * kLanes;
+  int64_t k0 = row_begin;
+  for (; k0 + kSpan <= row_end; k0 += kSpan) {
+    __m256 acc[kB];
+    for (int64_t bl = 0; bl < kB; ++bl) {
+      acc[bl] = LoadColumn(db + (k0 + bl * kLanes) * n, n, j);
+    }
+    for (int64_t i = 0; i < m; ++i) {
+      const float* arow = a + i * k + k0;
+      __m256 gv = _mm256_set1_ps(g[i * n + j]);
+      for (int64_t bl = 0; bl < kB; ++bl) {
+        __m256 av = _mm256_loadu_ps(arow + bl * kLanes);
+        acc[bl] = _mm256_add_ps(acc[bl], _mm256_mul_ps(av, gv));
+      }
+    }
+    for (int64_t bl = 0; bl < kB; ++bl) {
+      StoreColumn(acc[bl], db + (k0 + bl * kLanes) * n, n, j);
+    }
+  }
+  if constexpr (kB > 1) {
+    NarrowGradBColumn<kB / 2>(a, g, db, k0, row_end, m, k, n, j);
+  } else {
+    for (; k0 < row_end; ++k0) {
+      float acc = db[k0 * n + j];
+      for (int64_t i = 0; i < m; ++i) acc += a[i * k + k0] * g[i * n + j];
+      db[k0 * n + j] = acc;
+    }
+  }
+}
+
 }  // namespace
 
 bool MatMulAvx2Supported() { return __builtin_cpu_supports("avx2"); }
 
 void MatMulInitAvx2(const float* a, const float* b, float* c, int64_t row_begin,
                     int64_t row_end, int64_t k, int64_t n) {
+  if (n < kTileCols) {
+    for (int64_t j = 0; j < n; ++j) {
+      NarrowInitColumn(a, b, c, row_begin, row_end, k, n, j);
+    }
+    return;
+  }
   for (int64_t i0 = row_begin; i0 < row_end; i0 += kTileRows) {
     int64_t mr = std::min(kTileRows, row_end - i0);
     for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
@@ -148,6 +285,13 @@ void MatMulGradATAvx2(const float* g, const float* bt, float* da,
 void MatMulGradBAvx2(const float* a, const float* g, float* db,
                      int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
                      int64_t n) {
+  if (n < kTileCols) {
+    // Four lane blocks: 4 accumulators, a broadcast and an A vector per step.
+    for (int64_t j = 0; j < n; ++j) {
+      NarrowGradBColumn<4>(a, g, db, row_begin, row_end, m, k, n, j);
+    }
+    return;
+  }
   for (int64_t k0 = row_begin; k0 < row_end; k0 += kTileRows) {
     int64_t mr = std::min(kTileRows, row_end - k0);
     for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {

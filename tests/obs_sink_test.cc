@@ -94,6 +94,7 @@ TEST(EpochRecordJsonTest, SerialisesAllSections) {
   record.checkpoint_bytes = 2048;
   record.checkpoint_seconds = 0.01;
   record.pool_regions = 5;
+  record.pool_serial_regions = 11;
   record.pool_misses = 9;
   record.halo_vertices = 2739;
   record.halo = {{"online", {1363.0, 541.5, 124.5}, {2879.0, 621.0}},
@@ -107,7 +108,7 @@ TEST(EpochRecordJsonTest, SerialisesAllSections) {
   EXPECT_NE(json.find("\"augmentation\":0.5"), std::string::npos);
   EXPECT_NE(json.find("\"stored\":100"), std::string::npos);
   EXPECT_NE(json.find("\"bytes\":2048"), std::string::npos);
-  EXPECT_NE(json.find("\"regions\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"regions\":5,\"serial_regions\":11,"), std::string::npos) << json;
   EXPECT_NE(json.find("\"pool_misses\":9"), std::string::npos);
   EXPECT_NE(json.find("\"halo\":{\"n\":2739,"
                       "\"online\":{\"rows\":[1363,541.5,124.5],\"edges\":[2879,621]},"

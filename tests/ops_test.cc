@@ -1,6 +1,9 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -19,6 +22,16 @@ void ExpectTensorNear(const Tensor& t, const std::vector<float>& expected,
   ASSERT_EQ(t.numel(), static_cast<int64_t>(expected.size()));
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(t.data()[i], expected[i], tol) << "index " << i;
+  }
+}
+
+// Compares bit patterns, not float ==, so a +0 / -0 swap also fails.
+void ExpectBitwiseEqual(const std::vector<float>& actual,
+                        const std::vector<float>& expected, const char* what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(actual[i]), std::bit_cast<uint32_t>(expected[i]))
+        << what << " index " << i << ": " << actual[i] << " vs " << expected[i];
   }
 }
 
@@ -169,8 +182,12 @@ TEST_P(MatMulKernelEquivalence, GradBMatchesNaive) {
 #if defined(SARN_HAVE_AVX2_KERNELS)
 // Compiled AVX2 kernels: vector lanes are distinct output
 // elements, so they must match the scalar blocked kernels bit for bit —
-// including on inputs with exact zeros (post-ReLU activations) and on
-// shapes with sub-tile remainders.
+// including on inputs with exact zeros (post-ReLU activations), on shapes
+// with sub-tile remainders and, for n < 16, on the row-lane narrow path.
+
+// A split point off the 8-row lane boundary, so the second range of a
+// partitioned call starts mid-block (as a ParallelFor chunk of kMr rows can).
+int64_t OffLaneSplit(int64_t rows) { return std::min<int64_t>(rows, 3); }
 
 TEST_P(MatMulKernelEquivalence, InitAvx2MatchesBlockedInit) {
   if (!kernels::MatMulAvx2Supported()) GTEST_SKIP() << "host lacks AVX2";
@@ -185,9 +202,13 @@ TEST_P(MatMulKernelEquivalence, InitAvx2MatchesBlockedInit) {
                           std::numeric_limits<float>::quiet_NaN());
   kernels::MatMulBlockedInit(a.data().data(), b.data().data(), blocked.data(), 0, m, k, n);
   kernels::MatMulInitAvx2(a.data().data(), b.data().data(), avx2.data(), 0, m, k, n);
-  for (size_t i = 0; i < blocked.size(); ++i) {
-    EXPECT_EQ(avx2[i], blocked[i]) << "index " << i;
-  }
+  ExpectBitwiseEqual(avx2, blocked, "whole range");
+  std::vector<float> split(static_cast<size_t>(m * n),
+                           std::numeric_limits<float>::quiet_NaN());
+  int64_t mid = OffLaneSplit(m);
+  kernels::MatMulInitAvx2(a.data().data(), b.data().data(), split.data(), 0, mid, k, n);
+  kernels::MatMulInitAvx2(a.data().data(), b.data().data(), split.data(), mid, m, k, n);
+  ExpectBitwiseEqual(split, blocked, "split range");
 }
 
 TEST_P(MatMulKernelEquivalence, GradATAvx2MatchesBlocked) {
@@ -205,9 +226,12 @@ TEST_P(MatMulKernelEquivalence, GradATAvx2MatchesBlocked) {
     for (int64_t j = 0; j < n; ++j) bt[j * k + kk] = b.data()[kk * n + j];
   }
   kernels::MatMulGradATAvx2(g.data().data(), bt.data(), avx2.data(), 0, m, k, n);
-  for (size_t i = 0; i < blocked.size(); ++i) {
-    EXPECT_EQ(avx2[i], blocked[i]) << "index " << i;
-  }
+  ExpectBitwiseEqual(avx2, blocked, "whole range");
+  std::vector<float> split(static_cast<size_t>(m * k), 0.5f);
+  int64_t mid = OffLaneSplit(m);
+  kernels::MatMulGradATAvx2(g.data().data(), bt.data(), split.data(), 0, mid, k, n);
+  kernels::MatMulGradATAvx2(g.data().data(), bt.data(), split.data(), mid, m, k, n);
+  ExpectBitwiseEqual(split, blocked, "split range");
 }
 
 TEST_P(MatMulKernelEquivalence, GradBAvx2MatchesBlocked) {
@@ -222,9 +246,12 @@ TEST_P(MatMulKernelEquivalence, GradBAvx2MatchesBlocked) {
   kernels::MatMulGradBBlocked(a.data().data(), g.data().data(), blocked.data(), 0, k, m, k,
                               n);
   kernels::MatMulGradBAvx2(a.data().data(), g.data().data(), avx2.data(), 0, k, m, k, n);
-  for (size_t i = 0; i < blocked.size(); ++i) {
-    EXPECT_EQ(avx2[i], blocked[i]) << "index " << i;
-  }
+  ExpectBitwiseEqual(avx2, blocked, "whole range");
+  std::vector<float> split(static_cast<size_t>(k * n), -0.25f);
+  int64_t mid = OffLaneSplit(k);
+  kernels::MatMulGradBAvx2(a.data().data(), g.data().data(), split.data(), 0, mid, m, k, n);
+  kernels::MatMulGradBAvx2(a.data().data(), g.data().data(), split.data(), mid, k, m, k, n);
+  ExpectBitwiseEqual(split, blocked, "split range");
 }
 #endif  // SARN_HAVE_AVX2_KERNELS
 
@@ -250,7 +277,13 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatMulKernelEquivalence,
                          ::testing::Values(MatMulDims{1, 1, 1}, MatMulDims{3, 5, 7},
                                            MatMulDims{4, 16, 16}, MatMulDims{5, 17, 19},
                                            MatMulDims{8, 32, 16}, MatMulDims{13, 9, 33},
-                                           MatMulDims{16, 8, 1}, MatMulDims{33, 64, 47}));
+                                           MatMulDims{16, 8, 1}, MatMulDims{33, 64, 47},
+                                           // Narrow outputs (n < 16): the
+                                           // attention-score [rows, 1] shapes
+                                           // and partial lane blocks.
+                                           MatMulDims{37, 16, 1}, MatMulDims{9, 64, 1},
+                                           MatMulDims{21, 5, 3}, MatMulDims{8, 8, 7},
+                                           MatMulDims{24, 40, 2}, MatMulDims{17, 84, 15}));
 
 TEST(OpsTest, MatMulOpMatchesNaiveKernelsThroughAutograd) {
   // End-to-end: the MatMul op (blocked kernels + ParallelFor) vs a serial
@@ -277,19 +310,41 @@ TEST(OpsTest, MatMulOpMatchesNaiveKernelsThroughAutograd) {
 
 TEST(OpsTest, MatMulIdenticalAcrossThreadCounts) {
   // Row-partitioned kernels write disjoint outputs, so the thread count must
-  // not change a single bit of the result.
-  const int64_t m = 64, k = 48, n = 40;
-  Rng rng(11);
-  Tensor a = Tensor::Randn({m, k}, rng);
-  Tensor b = Tensor::Randn({k, n}, rng);
+  // not change a single bit of the forward or of either gradient. The shapes
+  // are large enough that every GEMM splits under the multiply-add floor
+  // (the pool-region count is asserted, so a floor change cannot quietly
+  // make this a serial-vs-serial check). The second shape is narrow (n = 1,
+  // the row-lane path), and its forward and dB chunk boundaries (rows 4164
+  // and 132, rounded to the 4-row tile) fall mid 8-row lane block.
+  struct Result {
+    std::vector<float> y, da, db;
+  };
   size_t original = GetParallelThreads();
-  SetParallelThreads(1);
-  Tensor serial = MatMul(a, b);
-  SetParallelThreads(4);
-  Tensor parallel = MatMul(a, b);
-  SetParallelThreads(original);
-  for (int64_t i = 0; i < m * n; ++i) {
-    EXPECT_EQ(serial.data()[i], parallel.data()[i]) << "index " << i;
+  for (auto [m, k, n] : {MatMulDims{2048, 48, 40}, MatMulDims{8000, 252, 1}}) {
+    SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+    auto run = [m = m, k = k, n = n] {
+      Rng rng(11);
+      Tensor a = Tensor::Randn({m, k}, rng).RequiresGrad();
+      Tensor b = Tensor::Randn({k, n}, rng).RequiresGrad();
+      Tensor upstream = Tensor::Randn({m, n}, rng);
+      Tensor y = MatMul(a, b);
+      y.Backward(std::vector<float>(upstream.data().begin(), upstream.data().end()));
+      return Result{{y.data().begin(), y.data().end()},
+                    {a.grad().begin(), a.grad().end()},
+                    {b.grad().begin(), b.grad().end()}};
+    };
+    SetParallelThreads(1);
+    Result serial = run();
+    SetParallelThreads(4);
+    ParallelPoolStats before = GetParallelPoolStats();
+    Result parallel = run();
+    ParallelPoolStats after = GetParallelPoolStats();
+    SetParallelThreads(original);
+    // Forward, dA and dB: three regions on the pool.
+    EXPECT_GE(after.regions - before.regions, 3u);
+    ExpectBitwiseEqual(parallel.y, serial.y, "forward");
+    ExpectBitwiseEqual(parallel.da, serial.da, "dA");
+    ExpectBitwiseEqual(parallel.db, serial.db, "dB");
   }
 }
 
@@ -307,37 +362,36 @@ std::vector<float> ToVector(const Storage& storage) {
   return {storage.begin(), storage.end()};
 }
 
-void ExpectBitwiseEqual(const std::vector<float>& actual,
-                        const std::vector<float>& expected, const char* what) {
-  ASSERT_EQ(actual.size(), expected.size()) << what;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << what << " index " << i;
-  }
-}
 
 TEST(OpsTest, MatMulDefaultTierMatchesScalarTierThroughAutograd) {
   // MatMul runs the compiled AVX2 kernels whenever the active tier is AVX2
   // and the scalar blocked kernels otherwise. Forward and both gradients
-  // must not depend on which one ran. Shapes leave sub-tile remainders.
-  TierGuard restore;
+  // must not depend on which one ran. The first shape leaves sub-tile
+  // remainders; the second is the GAT attention-score shape ([rows, F] x
+  // [F, 1]), which runs the row-lane narrow path forward and in dB, with a
+  // partial 8-row block.
   struct Result {
     std::vector<float> y, da, db;
   };
-  auto run = [] {
-    Rng rng(5);
-    Tensor a = Tensor::Randn({21, 34}, rng, 0.2f).RequiresGrad();
-    Tensor b = Tensor::Randn({34, 29}, rng, 0.2f).RequiresGrad();
-    Tensor y = MatMul(a, b);
-    Tensor loss = Mean(Square(LeakyRelu(y)));
-    EXPECT_EQ(loss.Backward(), Tensor::BackwardStatus::kOk);
-    return Result{ToVector(y.data()), ToVector(a.grad()), ToVector(b.grad())};
-  };
-  Result by_default = run();
-  simd::ForceTier(simd::Tier::kScalar);
-  Result scalar = run();
-  ExpectBitwiseEqual(by_default.y, scalar.y, "forward");
-  ExpectBitwiseEqual(by_default.da, scalar.da, "dA");
-  ExpectBitwiseEqual(by_default.db, scalar.db, "dB");
+  for (auto [m, k, n] : {MatMulDims{21, 34, 29}, MatMulDims{45, 16, 1}}) {
+    TierGuard restore;
+    auto run = [m = m, k = k, n = n] {
+      Rng rng(5);
+      Tensor a = Tensor::Randn({m, k}, rng, 0.2f).RequiresGrad();
+      Tensor b = Tensor::Randn({k, n}, rng, 0.2f).RequiresGrad();
+      Tensor y = MatMul(a, b);
+      Tensor loss = Mean(Square(LeakyRelu(y)));
+      EXPECT_EQ(loss.Backward(), Tensor::BackwardStatus::kOk);
+      return Result{ToVector(y.data()), ToVector(a.grad()), ToVector(b.grad())};
+    };
+    Result by_default = run();
+    simd::ForceTier(simd::Tier::kScalar);
+    Result scalar = run();
+    SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+    ExpectBitwiseEqual(by_default.y, scalar.y, "forward");
+    ExpectBitwiseEqual(by_default.da, scalar.da, "dA");
+    ExpectBitwiseEqual(by_default.db, scalar.db, "dB");
+  }
 }
 
 // The GAT grad path runs the fused differentiable ops; the unfused op chains

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,38 @@ TEST(ParallelTest, GrainLargerThanRangeRunsSerially) {
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0].first, 0u);
   EXPECT_EQ(calls[0].second, 100u);
+}
+
+TEST(ParallelTest, OneChunkRegionRunsInlineOnCaller) {
+  // A region whose single chunk covers [0, n) has nothing to hand to the
+  // workers: it must run body(0, n) once on the calling thread and count as
+  // a serial region, never wake the pool. n == grain and n == 1 (a one-block
+  // index batch) are both one-chunk regions.
+  ThreadPin pin(4);
+  struct Case {
+    size_t n, grain;
+  };
+  for (Case c : {Case{1, 1}, Case{64, 64}, Case{1, 2048}}) {
+    ParallelPoolStats before = GetParallelPoolStats();
+    std::vector<std::pair<size_t, size_t>> calls;
+    std::thread::id caller = std::this_thread::get_id();
+    bool on_caller = true;
+    ParallelFor(
+        c.n,
+        [&](size_t begin, size_t end) {
+          on_caller = on_caller && std::this_thread::get_id() == caller;
+          calls.emplace_back(begin, end);
+        },
+        c.grain);
+    ParallelPoolStats after = GetParallelPoolStats();
+    ASSERT_EQ(calls.size(), 1u) << "n=" << c.n << " grain=" << c.grain;
+    EXPECT_EQ(calls[0].first, 0u);
+    EXPECT_EQ(calls[0].second, c.n);
+    EXPECT_TRUE(on_caller);
+    EXPECT_EQ(after.serial_regions, before.serial_regions + 1);
+    EXPECT_EQ(after.regions, before.regions);
+    EXPECT_EQ(after.items, before.items);
+  }
 }
 
 TEST(ParallelTest, SingleThreadIsDeterministicOrder) {

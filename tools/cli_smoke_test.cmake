@@ -39,6 +39,23 @@ expect_missing_section(meta malformed
 expect_missing_section(sarn/online parse_error
   snapshot save --checkpoint ${WORK_DIR}/model.sarnsnap
   --network ${WORK_DIR}/net.csv --dim 16 --out ${WORK_DIR}/cross.sarnsnap)
+# A weights file of another encoder variant is refused with exit 1 and one
+# message: the typed error is reported once, not also logged by the loader.
+execute_process(COMMAND ${SARN_CLI} snapshot save --checkpoint ${WORK_DIR}/model.ckpt
+                --encoder rfn --network ${WORK_DIR}/net.csv --dim 16
+                --out ${WORK_DIR}/rfn.sarnsnap
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(code EQUAL 0)
+  message(FATAL_ERROR "snapshot save --encoder rfn over gat weights succeeded\n${out}")
+endif()
+# The tag and the text naming the stored variant each appear exactly once.
+foreach(needle "variant_mismatch" "trained with encoder=gat")
+  string(REGEX MATCHALL "${needle}" hits "${err}")
+  list(LENGTH hits hit_count)
+  if(NOT hit_count EQUAL 1)
+    message(FATAL_ERROR "expected '${needle}' once on stderr, got ${hit_count}:\n${err}")
+  endif()
+endforeach()
 run_step(${SARN_CLI} export --network ${WORK_DIR}/net.csv
          --embeddings ${WORK_DIR}/emb.csv --out ${WORK_DIR}/atlas.geojson)
 run_step(${SARN_CLI} eval --network ${WORK_DIR}/net.csv

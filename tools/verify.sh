@@ -20,7 +20,8 @@
 #      SteadyStateAllocs, QuantizedIndexTest.SteadyStateQueriesAreAllocation-
 #      Free) run 50 times back to back, the serve label runs 20 times and
 #      the checkpoint, snapshot, encoder (golden-trace and receptive-field
-#      pins) and obs (request-trace ring) labels 10 times each under
+#      pins), obs (request-trace ring) and simd (scalar-vs-vector kernel
+#      and GEMM bitwise pins) labels 10 times each under
 #      ctest -j$(nproc), so an invariant that holds only under some thread
 #      schedules fails here instead of as a rare flake;
 #   5. the SIMD suite (ctest -L simd: scalar-vs-vector bitwise identity,
@@ -115,6 +116,8 @@ if [[ "$mode" != "--tsan-only" ]]; then
   (cd build && ctest --output-on-failure -L encoder --repeat until-fail:10 \
     -j"$jobs")
   (cd build && ctest --output-on-failure -L obs --repeat until-fail:10 \
+    -j"$jobs")
+  (cd build && ctest --output-on-failure -L simd --repeat until-fail:10 \
     -j"$jobs")
   # Serve smoke: NDJSON in, validated NDJSON out, one ok:true per query.
   serve_dir="build/verify_serve"
@@ -222,7 +225,7 @@ if [[ "$mode" != "--tsan-only" ]]; then
   # compiled out entirely.
   cmake -B build-nosimd -S . -DSARN_NO_SIMD=ON > /dev/null
   cmake --build build-nosimd -j"$jobs" \
-    --target simd_kernels_test quantized_index_test embedding_index_test
+    --target simd_kernels_test ops_test quantized_index_test embedding_index_test
   (cd build-nosimd && ctest --output-on-failure -L simd)
 fi
 
