@@ -143,11 +143,14 @@ BENCHMARK(BM_SpawnJoinDispatch);
 // --- MatMul kernels ---------------------------------------------------------
 // Raw kernel comparison (no autograd/tensor overhead): the seed's naive
 // i/k/j loops vs the register-tiled kernels that replaced them, and the
-// AVX2 kernels on the GAT attention-score GEMMs ([rows, F] x [F, 1] per
-// head, forward and dB) at the receptive-field sizes of a train-city step:
-// 1345 rows x 16 head features at layer 0, 538 x 64 at layer 1. The blocked
-// kernels run those as scalar edge tiles; AVX2 takes its row-lane narrow
-// path. Args: m, k, n of C[m, n] = A[m, k] * B[k, n].
+// AVX2 kernels on the GEMMs of a train-city step, at its receptive-field
+// sizes (about 1345 rows at layer 0, 538 at layer 1, 124 at the head): the
+// projections [1345x84]·[84x64], [538x84]·[84x64], [538x64]·[64x256] and
+// [124x64]·[64x32], each forward, dA and dB; and the attention-score GEMMs
+// ([rows, F] x [F, 1] per head, forward and dB), which the blocked kernels
+// run as scalar edge tiles and AVX2 as its row-lane narrow path. k = 84
+// leaves a 4-column remainder, which dA runs on masked lanes. Args: m, k, n
+// of C[m, n] = A[m, k] * B[k, n].
 
 // Skips an AVX2-kernel row on a host without AVX2.
 bool SkipWithoutAvx2(benchmark::State& state, bool needs_avx2) {
@@ -192,11 +195,39 @@ BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulBlockedInit>)
     ->Args({1345, 16, 1})
     ->Args({538, 64, 1});
 #if defined(SARN_HAVE_AVX2_KERNELS)
+// The train-step GEMM shapes, shared by the AVX2 forward, dA and dB rows.
+void TrainStepShapes(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"m", "k", "n"})
+      ->Args({1345, 84, 64})
+      ->Args({538, 84, 64})
+      ->Args({538, 64, 256})
+      ->Args({124, 64, 32});
+}
+
 BENCHMARK(BM_MatMulKernel<tensor::kernels::MatMulInitAvx2, true>)
     ->Name("BM_MatMulKernelInitAvx2")
-    ->ArgNames({"m", "k", "n"})
+    ->Apply(TrainStepShapes)
     ->Args({1345, 16, 1})
     ->Args({538, 64, 1});
+
+// dA[m, k] += G[m, n] * B^T through the pre-transposed B^T ([n, k]) that
+// MatMul builds for the AVX2 kernel. Args: m, k, n.
+void BM_MatMulGradATKernelAvx2(benchmark::State& state) {
+  if (SkipWithoutAvx2(state, true)) return;
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  Rng rng(1);
+  tensor::Tensor g = tensor::Tensor::Randn({m, n}, rng);
+  tensor::Tensor bt = tensor::Tensor::Randn({n, k}, rng);
+  std::vector<float> da(static_cast<size_t>(m * k), 0.0f);
+  for (auto _ : state) {
+    tensor::kernels::MatMulGradATAvx2(g.data().data(), bt.data().data(), da.data(), 0,
+                                      m, k, n);
+    benchmark::DoNotOptimize(da.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatMulGradATKernelAvx2)->Apply(TrainStepShapes);
 #endif
 
 template <void (*Kernel)(const float*, const float*, float*, int64_t, int64_t,
@@ -251,7 +282,7 @@ BENCHMARK(BM_MatMulGradBKernel<tensor::kernels::MatMulGradBBlocked>)
 #if defined(SARN_HAVE_AVX2_KERNELS)
 BENCHMARK(BM_MatMulGradBKernel<tensor::kernels::MatMulGradBAvx2, true>)
     ->Name("BM_MatMulGradBKernelAvx2")
-    ->ArgNames({"m", "k", "n"})
+    ->Apply(TrainStepShapes)
     ->Args({1345, 16, 1})
     ->Args({538, 64, 1});
 #endif

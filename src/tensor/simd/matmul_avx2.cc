@@ -16,16 +16,30 @@
 //   * MatMulGradBAvx2   — per element: seed from dB, += a*g ascending i,
 //                         store. Matches MatMulGradBBlocked exactly.
 //
-// Sub-tile remainders run the same scalar loops as the blocked kernels;
-// since every element's chain is independent, mixing vector full tiles with
-// scalar edge tiles cannot change any result. ops_test pins the bitwise
-// scalar-vs-AVX2 identity on tile-multiple, remainder and degenerate shapes.
+// A full 4-row tile whose last column block is narrower than 16 runs the
+// same vector chain on masked lanes (_mm256_maskload_ps/_mm256_maskstore_ps):
+// masked-off lanes load +0, compute values nobody reads and are never
+// stored, so each live lane is still one element with its own seed and
+// chain. Rows left over below a 4-row tile run the same scalar loops as the
+// blocked kernels; since every element's chain is independent, mixing
+// vector tiles with scalar edge rows cannot change any result. ops_test pins
+// the bitwise scalar-vs-AVX2 identity on tile-multiple, remainder and
+// degenerate shapes, and that masked stores write no byte outside the tile.
 //
 // Narrow outputs (n < 16, e.g. the [rows, 1] GAT attention scores) have no
 // full 16-column tile, so the forward and dB kernels turn the lanes the
 // other way: 8 output ROWS per vector, each vector one output column. Each
 // lane still carries one element's own chain (same seed, same mul-then-add
 // order), so the identity holds on this path too.
+//
+// Register residency: every loop over a tile row, a half tile, a lane or a
+// lane block goes through Unroll, so accumulator arrays only ever see
+// constant subscripts and stay in ymm registers, and the three entry points
+// are [[gnu::flatten]], so every helper and lambda is inlined into them
+// regardless of the inliner's size limits. A plain `for` over the tile rows
+// is not unrolled at -O2, which leaves the accumulators in a stack array
+// that every k step loads and stores; tools/check_gemm_registers.py checks
+// the k loops' disassembly (DESIGN.md §15).
 
 #if defined(SARN_HAVE_AVX2_KERNELS)
 
@@ -33,6 +47,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 #include "tensor/matmul_kernels.h"
 
@@ -44,7 +60,93 @@ namespace {
 constexpr int64_t kTileRows = 4;
 constexpr int64_t kTileCols = 16;
 
-// Scalar edge path shared by the forward and dB kernels: accumulate
+// Lanes per vector: a 16-column tile is two vectors, and the narrow path
+// puts 8 output rows in one.
+constexpr int64_t kLanes = 8;
+
+// Calls f(std::integral_constant<int64_t, 0>{}) .. f(<kN - 1>) in order,
+// expanded at compile time rather than left to the optimiser's unrolling.
+template <int64_t kN, typename F>
+inline void Unroll(F&& f) {
+  [&]<int64_t... kI>(std::integer_sequence<int64_t, kI...>) {
+    (f(std::integral_constant<int64_t, kI>{}), ...);
+  }(std::make_integer_sequence<int64_t, kN>{});
+}
+
+// The columns of one tile: kVecs vectors of 8 lanes, either all live (plain
+// loads and stores) or cut by a lane mask to the `cols` columns that exist.
+template <int64_t kVecs, bool kMasked>
+struct TileCols {
+  static constexpr int64_t kVectors = kVecs;
+
+  explicit TileCols(int64_t cols) {
+    if constexpr (kMasked) {
+      const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+      Unroll<kVecs>([&](auto h) {
+        mask[h] = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int>(cols - h * kLanes)), lane);
+      });
+    }
+  }
+
+  // Vector h of the tile row starting at p; masked-off lanes read +0 and
+  // touch no memory.
+  __m256 Load(const float* p, int64_t h) const {
+    if constexpr (kMasked) return _mm256_maskload_ps(p + h * kLanes, mask[h]);
+    return _mm256_loadu_ps(p + h * kLanes);
+  }
+
+  void Store(float* p, int64_t h, __m256 v) const {
+    if constexpr (kMasked) {
+      _mm256_maskstore_ps(p + h * kLanes, mask[h], v);
+    } else {
+      _mm256_storeu_ps(p + h * kLanes, v);
+    }
+  }
+
+  __m256i mask[kVecs];  // Set and read only when kMasked.
+};
+
+// Runs tile(c0, cols) over the 16-column blocks of [0, total): whole blocks
+// unmasked, the remainder masked, in one vector when it fits in 8 lanes.
+template <typename Tile>
+inline void ForEachColumnBlock(int64_t total, Tile&& tile) {
+  int64_t c0 = 0;
+  for (; c0 + kTileCols <= total; c0 += kTileCols) {
+    tile(c0, TileCols<2, false>(kTileCols));
+  }
+  int64_t rest = total - c0;
+  if (rest > kLanes) {
+    tile(c0, TileCols<2, true>(rest));
+  } else if (rest > 0) {
+    tile(c0, TileCols<1, true>(rest));
+  }
+}
+
+// The k loop of a 4-row tile: acc[ii][h] += left(ii, r) * right(r, h) for
+// r ascending, where left(ii, r) = left[ii * left_row + r * left_step] and
+// right(r, h) is vector h of the row at right + r * right_step. One
+// broadcast feeds both vectors of a row; mul then add, never fused.
+template <typename Cols>
+inline void TileChain(
+    int64_t reduce, const float* left, int64_t left_row, int64_t left_step,
+    const float* right, int64_t right_step, const Cols& cols,
+    __m256 (&acc)[kTileRows][Cols::kVectors]) {
+  constexpr int64_t kVecs = Cols::kVectors;
+  for (int64_t r = 0; r < reduce; ++r) {
+    const float* rrow = right + r * right_step;
+    __m256 v[kVecs];
+    Unroll<kVecs>([&](auto h) { v[h] = cols.Load(rrow, h); });
+    Unroll<kTileRows>([&](auto ii) {
+      __m256 s = _mm256_set1_ps(left[ii * left_row + r * left_step]);
+      Unroll<kVecs>([&](auto h) {
+        acc[ii][h] = _mm256_add_ps(acc[ii][h], _mm256_mul_ps(s, v[h]));
+      });
+    });
+  }
+}
+
+// Scalar edge path for the rows below a full tile: accumulate
 // `rows x [mr, nr]` from `left_at(ii, r) * right[r * right_stride + jj]`,
 // ascending r, on top of the given seed tile.
 template <typename LeftAt>
@@ -59,9 +161,6 @@ inline void ScalarTail(int64_t reduce, LeftAt left_at, const float* right,
     }
   }
 }
-
-// Lane count of the narrow (n < kTileCols) path: 8 output rows per vector.
-constexpr int64_t kLanes = 8;
 
 // In-register transpose: on return r[q] holds column q of the 8x8 block
 // whose rows were r[0..7]. Pure data movement.
@@ -114,9 +213,13 @@ inline void StoreColumn(__m256 v, float* base, int64_t n, int64_t j) {
 // Forward for n < kTileCols, output column j: C[i, j] = +0 + sum_kk
 // A[i, kk] * B[kk, j], ascending kk, with rows i0 .. i0 + 7 in the lanes.
 // A's 8 x 8 blocks are transposed in registers so each kk step is one
-// vector of 8 rows.
+// vector of 8 rows. kUnitN compiles B's column stride as the constant 1
+// (the n == 1 attention scores), which frees the integer registers that
+// the eight strided B offsets would otherwise reload from the stack.
+template <bool kUnitN>
 void NarrowInitColumn(const float* a, const float* b, float* c, int64_t row_begin,
                       int64_t row_end, int64_t k, int64_t n, int64_t j) {
+  if constexpr (kUnitN) n = 1;
   int64_t i0 = row_begin;
   for (; i0 + kLanes <= row_end; i0 += kLanes) {
     __m256 acc = _mm256_setzero_ps();
@@ -124,12 +227,12 @@ void NarrowInitColumn(const float* a, const float* b, float* c, int64_t row_begi
     int64_t kk = 0;
     for (; kk + kLanes <= k; kk += kLanes) {
       __m256 col[kLanes];
-      for (int64_t q = 0; q < kLanes; ++q) col[q] = _mm256_loadu_ps(ablock + q * k + kk);
+      Unroll<kLanes>([&](auto q) { col[q] = _mm256_loadu_ps(ablock + q * k + kk); });
       Transpose8x8(col);
-      for (int64_t q = 0; q < kLanes; ++q) {
+      Unroll<kLanes>([&](auto q) {
         __m256 bv = _mm256_set1_ps(b[(kk + q) * n + j]);
         acc = _mm256_add_ps(acc, _mm256_mul_ps(col[q], bv));
-      }
+      });
     }
     for (; kk < k; ++kk) {
       __m256 av = _mm256_set_ps(ablock[7 * k + kk], ablock[6 * k + kk],
@@ -159,20 +262,16 @@ void NarrowGradBColumn(const float* a, const float* g, float* db, int64_t row_be
   int64_t k0 = row_begin;
   for (; k0 + kSpan <= row_end; k0 += kSpan) {
     __m256 acc[kB];
-    for (int64_t bl = 0; bl < kB; ++bl) {
-      acc[bl] = LoadColumn(db + (k0 + bl * kLanes) * n, n, j);
-    }
+    Unroll<kB>([&](auto bl) { acc[bl] = LoadColumn(db + (k0 + bl * kLanes) * n, n, j); });
     for (int64_t i = 0; i < m; ++i) {
       const float* arow = a + i * k + k0;
       __m256 gv = _mm256_set1_ps(g[i * n + j]);
-      for (int64_t bl = 0; bl < kB; ++bl) {
+      Unroll<kB>([&](auto bl) {
         __m256 av = _mm256_loadu_ps(arow + bl * kLanes);
         acc[bl] = _mm256_add_ps(acc[bl], _mm256_mul_ps(av, gv));
-      }
+      });
     }
-    for (int64_t bl = 0; bl < kB; ++bl) {
-      StoreColumn(acc[bl], db + (k0 + bl * kLanes) * n, n, j);
-    }
+    Unroll<kB>([&](auto bl) { StoreColumn(acc[bl], db + (k0 + bl * kLanes) * n, n, j); });
   }
   if constexpr (kB > 1) {
     NarrowGradBColumn<kB / 2>(a, g, db, k0, row_end, m, k, n, j);
@@ -189,102 +288,90 @@ void NarrowGradBColumn(const float* a, const float* g, float* db, int64_t row_be
 
 bool MatMulAvx2Supported() { return __builtin_cpu_supports("avx2"); }
 
-void MatMulInitAvx2(const float* a, const float* b, float* c, int64_t row_begin,
-                    int64_t row_end, int64_t k, int64_t n) {
+[[gnu::flatten]] void MatMulInitAvx2(const float* a, const float* b, float* c,
+                                     int64_t row_begin, int64_t row_end, int64_t k,
+                                     int64_t n) {
   if (n < kTileCols) {
+    if (n == 1) {
+      NarrowInitColumn<true>(a, b, c, row_begin, row_end, k, n, 0);
+      return;
+    }
     for (int64_t j = 0; j < n; ++j) {
-      NarrowInitColumn(a, b, c, row_begin, row_end, k, n, j);
+      NarrowInitColumn<false>(a, b, c, row_begin, row_end, k, n, j);
     }
     return;
   }
-  for (int64_t i0 = row_begin; i0 < row_end; i0 += kTileRows) {
-    int64_t mr = std::min(kTileRows, row_end - i0);
-    for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
-      int64_t nr = std::min(kTileCols, n - j0);
-      if (mr == kTileRows && nr == kTileCols) {
-        __m256 acc[kTileRows][2];
-        for (int64_t ii = 0; ii < kTileRows; ++ii) {
-          acc[ii][0] = _mm256_setzero_ps();
-          acc[ii][1] = _mm256_setzero_ps();
-        }
-        for (int64_t kk = 0; kk < k; ++kk) {
-          const float* brow = b + kk * n + j0;
-          __m256 bv0 = _mm256_loadu_ps(brow);
-          __m256 bv1 = _mm256_loadu_ps(brow + 8);
-          for (int64_t ii = 0; ii < kTileRows; ++ii) {
-            __m256 av = _mm256_set1_ps(a[(i0 + ii) * k + kk]);
-            acc[ii][0] = _mm256_add_ps(acc[ii][0], _mm256_mul_ps(av, bv0));
-            acc[ii][1] = _mm256_add_ps(acc[ii][1], _mm256_mul_ps(av, bv1));
-          }
-        }
-        for (int64_t ii = 0; ii < kTileRows; ++ii) {
-          float* crow = c + (i0 + ii) * n + j0;
-          _mm256_storeu_ps(crow, acc[ii][0]);
-          _mm256_storeu_ps(crow + 8, acc[ii][1]);
-        }
-      } else {
-        float acc[kTileRows][kTileCols] = {};
-        ScalarTail(
-            k, [&](int64_t ii, int64_t kk) { return a[(i0 + ii) * k + kk]; },
-            b + j0, n, mr, nr, acc);
-        for (int64_t ii = 0; ii < mr; ++ii) {
-          float* crow = c + (i0 + ii) * n + j0;
-          for (int64_t jj = 0; jj < nr; ++jj) crow[jj] = acc[ii][jj];
-        }
-      }
+  int64_t i0 = row_begin;
+  for (; i0 + kTileRows <= row_end; i0 += kTileRows) {
+    ForEachColumnBlock(n, [&](int64_t j0, const auto& cols) {
+      constexpr int64_t kVecs = std::decay_t<decltype(cols)>::kVectors;
+      __m256 acc[kTileRows][kVecs];
+      Unroll<kTileRows>([&](auto ii) {
+        Unroll<kVecs>([&](auto h) { acc[ii][h] = _mm256_setzero_ps(); });
+      });
+      TileChain(k, a + i0 * k, k, 1, b + j0, n, cols, acc);
+      Unroll<kTileRows>([&](auto ii) {
+        float* crow = c + (i0 + ii) * n + j0;
+        Unroll<kVecs>([&](auto h) { cols.Store(crow, h, acc[ii][h]); });
+      });
+    });
+  }
+  if (i0 == row_end) return;
+  int64_t mr = row_end - i0;
+  for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
+    int64_t nr = std::min(kTileCols, n - j0);
+    float acc[kTileRows][kTileCols] = {};
+    ScalarTail(
+        k, [&](int64_t ii, int64_t kk) { return a[(i0 + ii) * k + kk]; }, b + j0,
+        n, mr, nr, acc);
+    for (int64_t ii = 0; ii < mr; ++ii) {
+      float* crow = c + (i0 + ii) * n + j0;
+      for (int64_t jj = 0; jj < nr; ++jj) crow[jj] = acc[ii][jj];
     }
   }
 }
 
-void MatMulGradATAvx2(const float* g, const float* bt, float* da,
-                      int64_t row_begin, int64_t row_end, int64_t k, int64_t n) {
+[[gnu::flatten]] void MatMulGradATAvx2(const float* g, const float* bt, float* da,
+                                       int64_t row_begin, int64_t row_end, int64_t k,
+                                       int64_t n) {
   // dA[i, kk] += dot_j(G[i, :], B[kk, :]); bt is [n, k] with
   // bt[j * k + kk] == b[kk * n + j], so 8 consecutive kk lanes load as one
   // vector and one B^T stream feeds a block of 4 G rows.
-  for (int64_t i0 = row_begin; i0 < row_end; i0 += kTileRows) {
-    int64_t mr = std::min(kTileRows, row_end - i0);
-    for (int64_t k0 = 0; k0 < k; k0 += kTileCols) {
-      int64_t kr = std::min(kTileCols, k - k0);
-      if (mr == kTileRows && kr == kTileCols) {
-        __m256 acc[kTileRows][2];
-        for (int64_t ii = 0; ii < kTileRows; ++ii) {
-          acc[ii][0] = _mm256_setzero_ps();
-          acc[ii][1] = _mm256_setzero_ps();
-        }
-        for (int64_t j = 0; j < n; ++j) {
-          const float* btrow = bt + j * k + k0;
-          __m256 bv0 = _mm256_loadu_ps(btrow);
-          __m256 bv1 = _mm256_loadu_ps(btrow + 8);
-          for (int64_t ii = 0; ii < kTileRows; ++ii) {
-            __m256 gv = _mm256_set1_ps(g[(i0 + ii) * n + j]);
-            acc[ii][0] = _mm256_add_ps(acc[ii][0], _mm256_mul_ps(gv, bv0));
-            acc[ii][1] = _mm256_add_ps(acc[ii][1], _mm256_mul_ps(gv, bv1));
-          }
-        }
-        for (int64_t ii = 0; ii < kTileRows; ++ii) {
-          float* darow = da + (i0 + ii) * k + k0;
-          _mm256_storeu_ps(
-              darow, _mm256_add_ps(_mm256_loadu_ps(darow), acc[ii][0]));
-          _mm256_storeu_ps(
-              darow + 8, _mm256_add_ps(_mm256_loadu_ps(darow + 8), acc[ii][1]));
-        }
-      } else {
-        float acc[kTileRows][kTileCols] = {};
-        ScalarTail(
-            n, [&](int64_t ii, int64_t j) { return g[(i0 + ii) * n + j]; },
-            bt + k0, k, mr, kr, acc);
-        for (int64_t ii = 0; ii < mr; ++ii) {
-          float* darow = da + (i0 + ii) * k + k0;
-          for (int64_t jj = 0; jj < kr; ++jj) darow[jj] += acc[ii][jj];
-        }
-      }
+  int64_t i0 = row_begin;
+  for (; i0 + kTileRows <= row_end; i0 += kTileRows) {
+    ForEachColumnBlock(k, [&](int64_t k0, const auto& cols) {
+      constexpr int64_t kVecs = std::decay_t<decltype(cols)>::kVectors;
+      __m256 acc[kTileRows][kVecs];
+      Unroll<kTileRows>([&](auto ii) {
+        Unroll<kVecs>([&](auto h) { acc[ii][h] = _mm256_setzero_ps(); });
+      });
+      TileChain(n, g + i0 * n, n, 1, bt + k0, k, cols, acc);
+      Unroll<kTileRows>([&](auto ii) {
+        float* darow = da + (i0 + ii) * k + k0;
+        Unroll<kVecs>([&](auto h) {
+          cols.Store(darow, h, _mm256_add_ps(cols.Load(darow, h), acc[ii][h]));
+        });
+      });
+    });
+  }
+  if (i0 == row_end) return;
+  int64_t mr = row_end - i0;
+  for (int64_t k0 = 0; k0 < k; k0 += kTileCols) {
+    int64_t kr = std::min(kTileCols, k - k0);
+    float acc[kTileRows][kTileCols] = {};
+    ScalarTail(
+        n, [&](int64_t ii, int64_t j) { return g[(i0 + ii) * n + j]; }, bt + k0,
+        k, mr, kr, acc);
+    for (int64_t ii = 0; ii < mr; ++ii) {
+      float* darow = da + (i0 + ii) * k + k0;
+      for (int64_t jj = 0; jj < kr; ++jj) darow[jj] += acc[ii][jj];
     }
   }
 }
 
-void MatMulGradBAvx2(const float* a, const float* g, float* db,
-                     int64_t row_begin, int64_t row_end, int64_t m, int64_t k,
-                     int64_t n) {
+[[gnu::flatten]] void MatMulGradBAvx2(const float* a, const float* g, float* db,
+                                      int64_t row_begin, int64_t row_end, int64_t m,
+                                      int64_t k, int64_t n) {
   if (n < kTileCols) {
     // Four lane blocks: 4 accumulators, a broadcast and an A vector per step.
     for (int64_t j = 0; j < n; ++j) {
@@ -292,46 +379,37 @@ void MatMulGradBAvx2(const float* a, const float* g, float* db,
     }
     return;
   }
-  for (int64_t k0 = row_begin; k0 < row_end; k0 += kTileRows) {
-    int64_t mr = std::min(kTileRows, row_end - k0);
-    for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
-      int64_t nr = std::min(kTileCols, n - j0);
-      if (mr == kTileRows && nr == kTileCols) {
-        __m256 acc[kTileRows][2];
-        for (int64_t ii = 0; ii < kTileRows; ++ii) {
-          const float* dbrow = db + (k0 + ii) * n + j0;
-          acc[ii][0] = _mm256_loadu_ps(dbrow);
-          acc[ii][1] = _mm256_loadu_ps(dbrow + 8);
-        }
-        for (int64_t i = 0; i < m; ++i) {
-          const float* grow = g + i * n + j0;
-          __m256 gv0 = _mm256_loadu_ps(grow);
-          __m256 gv1 = _mm256_loadu_ps(grow + 8);
-          for (int64_t ii = 0; ii < kTileRows; ++ii) {
-            __m256 av = _mm256_set1_ps(a[i * k + k0 + ii]);
-            acc[ii][0] = _mm256_add_ps(acc[ii][0], _mm256_mul_ps(av, gv0));
-            acc[ii][1] = _mm256_add_ps(acc[ii][1], _mm256_mul_ps(av, gv1));
-          }
-        }
-        for (int64_t ii = 0; ii < kTileRows; ++ii) {
-          float* dbrow = db + (k0 + ii) * n + j0;
-          _mm256_storeu_ps(dbrow, acc[ii][0]);
-          _mm256_storeu_ps(dbrow + 8, acc[ii][1]);
-        }
-      } else {
-        float acc[kTileRows][kTileCols] = {};
-        for (int64_t ii = 0; ii < mr; ++ii) {
-          const float* dbrow = db + (k0 + ii) * n + j0;
-          for (int64_t jj = 0; jj < nr; ++jj) acc[ii][jj] = dbrow[jj];
-        }
-        ScalarTail(
-            m, [&](int64_t ii, int64_t i) { return a[i * k + k0 + ii]; },
-            g + j0, n, mr, nr, acc);
-        for (int64_t ii = 0; ii < mr; ++ii) {
-          float* dbrow = db + (k0 + ii) * n + j0;
-          for (int64_t jj = 0; jj < nr; ++jj) dbrow[jj] = acc[ii][jj];
-        }
-      }
+  int64_t k0 = row_begin;
+  for (; k0 + kTileRows <= row_end; k0 += kTileRows) {
+    ForEachColumnBlock(n, [&](int64_t j0, const auto& cols) {
+      constexpr int64_t kVecs = std::decay_t<decltype(cols)>::kVectors;
+      __m256 acc[kTileRows][kVecs];
+      Unroll<kTileRows>([&](auto ii) {
+        const float* dbrow = db + (k0 + ii) * n + j0;
+        Unroll<kVecs>([&](auto h) { acc[ii][h] = cols.Load(dbrow, h); });
+      });
+      TileChain(m, a + k0, 1, k, g + j0, n, cols, acc);
+      Unroll<kTileRows>([&](auto ii) {
+        float* dbrow = db + (k0 + ii) * n + j0;
+        Unroll<kVecs>([&](auto h) { cols.Store(dbrow, h, acc[ii][h]); });
+      });
+    });
+  }
+  if (k0 == row_end) return;
+  int64_t mr = row_end - k0;
+  for (int64_t j0 = 0; j0 < n; j0 += kTileCols) {
+    int64_t nr = std::min(kTileCols, n - j0);
+    float acc[kTileRows][kTileCols] = {};
+    for (int64_t ii = 0; ii < mr; ++ii) {
+      const float* dbrow = db + (k0 + ii) * n + j0;
+      for (int64_t jj = 0; jj < nr; ++jj) acc[ii][jj] = dbrow[jj];
+    }
+    ScalarTail(
+        m, [&](int64_t ii, int64_t i) { return a[i * k + k0 + ii]; }, g + j0, n,
+        mr, nr, acc);
+    for (int64_t ii = 0; ii < mr; ++ii) {
+      float* dbrow = db + (k0 + ii) * n + j0;
+      for (int64_t jj = 0; jj < nr; ++jj) dbrow[jj] = acc[ii][jj];
     }
   }
 }

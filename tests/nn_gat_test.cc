@@ -1,6 +1,8 @@
 #include "nn/gat.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -366,19 +368,28 @@ TEST(GatLayerTest, FusedUniformAttentionMatchesOpPathBitwise) {
 }
 
 TEST(GatLayerTest, ForwardBitwiseInvariantToThreadCount) {
+  // Sized so the fused projection ([4096 x 64] x [64 x 256], 2^26
+  // multiply-adds) splits across the pool under the 2^20 multiply-add chunk
+  // floor; the region count is asserted so a floor change cannot quietly
+  // turn this into a serial-vs-serial comparison.
+  constexpr int64_t kRows = 4096;
   Rng rng(23);
-  GatLayer layer(16, 8, 2, /*concat_heads=*/true, Activation::kElu, rng);
-  Tensor x = Tensor::Randn({64, 16}, rng);
-  EdgeList edges = PathGraph(64);
+  GatLayer layer(64, 64, 4, /*concat_heads=*/true, Activation::kElu, rng);
+  Tensor x = Tensor::Randn({kRows, 64}, rng);
+  EdgeList edges = PathGraph(kRows);
   size_t saved = GetParallelThreads();
   SetParallelThreads(1);
   Tensor one = layer.Forward(x, edges);
   SetParallelThreads(4);
+  uint64_t regions_before = GetParallelPoolStats().regions;
   Tensor four = layer.Forward(x, edges);
+  uint64_t regions_after = GetParallelPoolStats().regions;
   SetParallelThreads(saved);
+  EXPECT_GT(regions_after, regions_before);
+  ASSERT_EQ(one.numel(), four.numel());
   for (int64_t i = 0; i < one.numel(); ++i) {
-    EXPECT_EQ(one.data()[static_cast<size_t>(i)],
-              four.data()[static_cast<size_t>(i)])
+    ASSERT_EQ(std::bit_cast<uint32_t>(one.data()[static_cast<size_t>(i)]),
+              std::bit_cast<uint32_t>(four.data()[static_cast<size_t>(i)]))
         << i;
   }
 }

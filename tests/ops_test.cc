@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -253,6 +254,76 @@ TEST_P(MatMulKernelEquivalence, GradBAvx2MatchesBlocked) {
   kernels::MatMulGradBAvx2(a.data().data(), g.data().data(), split.data(), mid, k, m, k, n);
   ExpectBitwiseEqual(split, blocked, "split range");
 }
+
+// Masked stores write only the live lanes of a tile. Each kernel runs on a
+// row range of a buffer whose other rows, and 16 floats past the matrix,
+// hold a sentinel NaN: a lane stored past the last column of the range's
+// last row, or any write outside the range, flips one. The ranges are every
+// 4-row window (so each tile's last row is some range's last row, and most
+// windows start mid-tile), a range starting mid-matrix and the whole
+// matrix. Inside the range the rows must match the scalar blocked kernel
+// bitwise. {12, 20, 44} gives the forward and dB a two-vector remainder
+// (44 % 16 = 12) and dA a one-vector one (20 % 16 = 4); {12, 44, 20} the
+// other way round.
+TEST(OpsTest, MatMulAvx2MaskedStoresStayInsideTheRowRange) {
+  if (!kernels::MatMulAvx2Supported()) GTEST_SKIP() << "host lacks AVX2";
+  const uint32_t sentinel_bits = 0x7fc0beefu;
+  const float sentinel = std::bit_cast<float>(sentinel_bits);
+  constexpr int64_t kPad = 16;
+  // Runs kernel(out, begin, end) on rows [begin, end) of a rows x cols
+  // output seeded with `seed` and checks every float of the buffer.
+  auto check = [&](const char* what, int64_t rows, int64_t cols, float seed,
+                   const std::vector<float>& expected, auto kernel) {
+    std::vector<std::pair<int64_t, int64_t>> ranges = {{0, rows}, {3, rows}};
+    for (int64_t begin = 0; begin + 4 <= rows; ++begin) {
+      ranges.push_back({begin, begin + 4});
+    }
+    for (auto [begin, end] : ranges) {
+      SCOPED_TRACE(testing::Message()
+                   << what << " rows [" << begin << ", " << end << ")");
+      std::vector<float> out(static_cast<size_t>(rows * cols + kPad), sentinel);
+      std::fill(out.begin() + begin * cols, out.begin() + end * cols, seed);
+      kernel(out.data(), begin, end);
+      for (int64_t i = 0; i < rows * cols + kPad; ++i) {
+        bool inside = i >= begin * cols && i < end * cols;
+        uint32_t want = inside ? std::bit_cast<uint32_t>(expected[static_cast<size_t>(i)])
+                               : sentinel_bits;
+        ASSERT_EQ(std::bit_cast<uint32_t>(out[static_cast<size_t>(i)]), want)
+            << "float " << i << (inside ? " (inside)" : " (outside)");
+      }
+    }
+  };
+  for (auto [m, k, n] : {MatMulDims{12, 20, 44}, MatMulDims{12, 44, 20}}) {
+    SCOPED_TRACE(testing::Message() << m << "x" << k << "x" << n);
+    Rng rng(5 + m + k + n);
+    Tensor a = Tensor::Randn({m, k}, rng);
+    Tensor b = Tensor::Randn({k, n}, rng);
+    Tensor g = Tensor::Randn({m, n}, rng);
+    const float* ad = a.data().data();
+    const float* bd = b.data().data();
+    const float* gd = g.data().data();
+    std::vector<float> bt(static_cast<size_t>(n * k));
+    for (int64_t kk = 0; kk < k; ++kk) {
+      for (int64_t j = 0; j < n; ++j) bt[j * k + kk] = bd[kk * n + j];
+    }
+    std::vector<float> y(static_cast<size_t>(m * n));
+    std::vector<float> da(static_cast<size_t>(m * k), 0.5f);
+    std::vector<float> db(static_cast<size_t>(k * n), -0.25f);
+    kernels::MatMulBlockedInit(ad, bd, y.data(), 0, m, k, n);
+    kernels::MatMulGradABlocked(gd, bd, da.data(), 0, m, k, n);
+    kernels::MatMulGradBBlocked(ad, gd, db.data(), 0, k, m, k, n);
+    check("forward", m, n, std::numeric_limits<float>::quiet_NaN(), y,
+          [&](float* out, int64_t begin, int64_t end) {
+            kernels::MatMulInitAvx2(ad, bd, out, begin, end, k, n);
+          });
+    check("dA", m, k, 0.5f, da, [&](float* out, int64_t begin, int64_t end) {
+      kernels::MatMulGradATAvx2(gd, bt.data(), out, begin, end, k, n);
+    });
+    check("dB", k, n, -0.25f, db, [&](float* out, int64_t begin, int64_t end) {
+      kernels::MatMulGradBAvx2(ad, gd, out, begin, end, m, k, n);
+    });
+  }
+}
 #endif  // SARN_HAVE_AVX2_KERNELS
 
 TEST_P(MatMulKernelEquivalence, RowRangeCoversPartition) {
@@ -283,7 +354,16 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatMulKernelEquivalence,
                                            // and partial lane blocks.
                                            MatMulDims{37, 16, 1}, MatMulDims{9, 64, 1},
                                            MatMulDims{21, 5, 3}, MatMulDims{8, 8, 7},
-                                           MatMulDims{24, 40, 2}, MatMulDims{17, 84, 15}));
+                                           MatMulDims{24, 40, 2}, MatMulDims{17, 84, 15},
+                                           // Full 4-row tiles with a column
+                                           // remainder: dA's k % 16 in
+                                           // {4, 8, 12, 15}, the forward's and
+                                           // dB's n % 16 in {4, 8, 12}, n >= 16.
+                                           MatMulDims{8, 84, 64}, MatMulDims{12, 20, 32},
+                                           MatMulDims{16, 31, 16}, MatMulDims{8, 24, 16},
+                                           MatMulDims{12, 28, 20}, MatMulDims{8, 16, 84},
+                                           MatMulDims{8, 16, 40},
+                                           MatMulDims{12, 16, 44}));
 
 TEST(OpsTest, MatMulOpMatchesNaiveKernelsThroughAutograd) {
   // End-to-end: the MatMul op (blocked kernels + ParallelFor) vs a serial

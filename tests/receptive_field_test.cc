@@ -98,11 +98,6 @@ std::vector<int64_t> RandomBatch(uint64_t seed, size_t size) {
   return order;
 }
 
-bool BitsEqual(const tensor::Storage& a, const tensor::Storage& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
 // The rows of a row-major [n, d] buffer at `rows`, as a flat vector.
 std::vector<float> GatherRows(const tensor::Storage& s, int64_t d,
                               const std::vector<int64_t>& rows) {

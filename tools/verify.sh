@@ -21,11 +21,12 @@
 #      Free) run 50 times back to back, the serve label runs 20 times and
 #      the checkpoint, snapshot, encoder (golden-trace and receptive-field
 #      pins), obs (request-trace ring) and simd (scalar-vs-vector kernel
-#      and GEMM bitwise pins) labels 10 times each under
-#      ctest -j$(nproc), so an invariant that holds only under some thread
-#      schedules fails here instead of as a rare flake;
+#      and GEMM bitwise pins, the GAT layer's 1-vs-4-thread pin) labels 10
+#      times each under ctest -j$(nproc), so an invariant that holds only
+#      under some thread schedules fails here instead of as a rare flake;
 #   5. the SIMD suite (ctest -L simd: scalar-vs-vector bitwise identity,
 #      int8 kernel exactness, quantized recall@10 gate) in the default build,
+#      plus tools/check_gemm_registers.py on the AVX2 GEMM object,
 #      then again in a -DSARN_NO_SIMD=ON build (build-nosimd) to prove the
 #      scalar fallback configuration stays green on its own;
 #   6. the concurrency-sensitive tests (parallel runtime, matmul kernels,
@@ -221,11 +222,18 @@ if [[ "$mode" != "--tsan-only" ]]; then
   # SIMD suite on the default (vectorised) build: bitwise identity between
   # the scalar fallback and the active tier, int8 recall gate.
   (cd build && ctest --output-on-failure -L simd)
+  # The AVX2 GEMM k loops keep their accumulators in registers (DESIGN.md
+  # §15): no stack traffic or vector store inside them.
+  gemm_obj="build/src/tensor/CMakeFiles/sarn_tensor.dir/simd/matmul_avx2.cc.o"
+  if [[ -f "$gemm_obj" ]] && command -v objdump > /dev/null; then
+    python3 tools/check_gemm_registers.py "$gemm_obj"
+  fi
   # And the scalar-fallback configuration: same suite with the vector tiers
   # compiled out entirely.
   cmake -B build-nosimd -S . -DSARN_NO_SIMD=ON > /dev/null
   cmake --build build-nosimd -j"$jobs" \
-    --target simd_kernels_test ops_test quantized_index_test embedding_index_test
+    --target simd_kernels_test ops_test nn_gat_test quantized_index_test \
+    embedding_index_test
   (cd build-nosimd && ctest --output-on-failure -L simd)
 fi
 
