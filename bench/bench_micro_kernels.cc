@@ -5,9 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -27,52 +25,13 @@
 #include "tensor/simd/simd.h"
 #include "traj/frechet.h"
 
-// --- Heap-allocation counting ------------------------------------------------
-// Global operator new/delete overrides so the steady-state benchmarks can
-// report allocations-per-step. The counter is process-wide (relaxed atomic):
-// benchmark bodies read it before/after the timed work, so anything the
-// framework allocates between iterations is excluded.
-
-namespace {
-std::atomic<uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) /
-                                       static_cast<std::size_t>(align) *
-                                       static_cast<std::size_t>(align))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-
 namespace sarn {
-namespace {
 
-uint64_t HeapAllocCount() { return g_heap_allocs.load(std::memory_order_relaxed); }
+// Heap allocations since process start, counted by the operator new
+// replacements in heap_alloc_count.cc.
+uint64_t HeapAllocCount();
+
+namespace {
 
 /// Pins the parallel thread count for the duration of one benchmark.
 class ThreadPin {

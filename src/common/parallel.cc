@@ -224,12 +224,4 @@ ParallelPoolStats GetParallelPoolStats() {
   return stats;
 }
 
-void ResetParallelPoolStats() {
-  g_stat_regions.store(0, std::memory_order_relaxed);
-  g_stat_serial_regions.store(0, std::memory_order_relaxed);
-  g_stat_chunks.store(0, std::memory_order_relaxed);
-  g_stat_items.store(0, std::memory_order_relaxed);
-  g_stat_idle_ns.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace sarn

@@ -62,10 +62,9 @@ struct ParallelPoolStats {
   double worker_idle_seconds = 0.0;  // Total time workers spent parked.
 };
 
-/// Snapshot of the counters since process start (or the last reset). Epoch
-/// telemetry consumes deltas between successive snapshots.
+/// Snapshot of the counters since process start. Epoch telemetry consumes
+/// deltas between successive snapshots.
 ParallelPoolStats GetParallelPoolStats();
-void ResetParallelPoolStats();
 
 }  // namespace sarn
 

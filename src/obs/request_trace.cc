@@ -3,18 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/check.h"
-
 namespace sarn::obs {
-namespace {
-
-uint32_t RoundUpPow2(uint32_t v) {
-  uint32_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 const char* RequestStageName(RequestStage stage) {
   switch (stage) {
@@ -80,13 +69,9 @@ uint64_t RequestContext::Finish(bool ok) {
   return record_.TotalNanos();
 }
 
-RequestTracer::RequestTracer(const Options& options)
-    : sample_every_(options.sample_every),
-      slowest_capacity_(options.slowest_capacity) {
-  uint32_t capacity = RoundUpPow2(std::max<uint32_t>(options.ring_capacity, 2));
-  ring_mask_ = capacity - 1;
-  ring_ = std::make_unique<Slot[]>(capacity);
-  slowest_.reserve(slowest_capacity_);
+RequestTracer::RequestTracer(uint32_t sample_every)
+    : sample_every_(sample_every) {
+  slowest_.reserve(kSlowestCapacity + 1);
 }
 
 RequestContext RequestTracer::Admit() {
@@ -101,99 +86,38 @@ RequestContext RequestTracer::Admit() {
   return ctx;
 }
 
-void RequestTracer::EncodeRecord(const RequestRecord& record,
-                                 uint64_t* words) {
-  words[0] = record.id;
-  words[1] = record.admit_ns;
-  words[2] = record.enqueued_ns;
-  words[3] = record.batch_formed_ns;
-  words[4] = record.scan_begin_ns;
-  words[5] = record.scan_end_ns;
-  words[6] = record.replied_ns;
-  words[7] = (record.cache_hit ? 1u : 0u) | (record.ok ? 2u : 0u);
-}
-
-RequestRecord RequestTracer::DecodeRecord(const uint64_t* words) {
-  RequestRecord record;
-  record.id = words[0];
-  record.admit_ns = words[1];
-  record.enqueued_ns = words[2];
-  record.batch_formed_ns = words[3];
-  record.scan_begin_ns = words[4];
-  record.scan_end_ns = words[5];
-  record.replied_ns = words[6];
-  record.cache_hit = (words[7] & 1u) != 0;
-  record.ok = (words[7] & 2u) != 0;
-  return record;
-}
-
 void RequestTracer::Publish(const RequestRecord& record) {
-  // Ring write: claim a slot with fetch_add, bracket the word stores with an
-  // odd sequence so a concurrent reader detects the torn window and skips it.
-  uint64_t ticket = published_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = ring_[ticket & ring_mask_];
-  uint64_t seq = slot.sequence.load(std::memory_order_relaxed);
-  slot.sequence.store(seq + 1, std::memory_order_release);  // Odd: writing.
-  uint64_t words[kSlotWords];
-  EncodeRecord(record, words);
-  for (int i = 0; i < kSlotWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.sequence.store(seq + 2, std::memory_order_release);  // Even: stable.
+  const uint64_t total = record.TotalNanos();
+  std::lock_guard<std::mutex> lock(mu_);
+  ring_[published_ % kRingCapacity] = record;
+  ++published_;
+  traced_total_ns_ += total;
 
-  // Slowest-N tail retention. The relaxed floor read keeps the common case
-  // (request faster than the current table minimum) lock-free.
-  if (slowest_capacity_ == 0) return;
-  uint64_t total = record.TotalNanos();
-  if (total <= slowest_floor_ns_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(slowest_mu_);
+  // Slowest-N tail retention: a record no slower than every entry of a full
+  // table is dropped; otherwise it takes its place and the fastest leaves.
   auto pos = std::upper_bound(
       slowest_.begin(), slowest_.end(), total,
       [](uint64_t t, const RequestRecord& r) { return t > r.TotalNanos(); });
-  if (slowest_.size() < slowest_capacity_) {
-    slowest_.insert(pos, record);
-  } else if (pos != slowest_.end()) {
-    slowest_.insert(pos, record);
-    slowest_.pop_back();
-  }
-  if (slowest_.size() == slowest_capacity_) {
-    slowest_floor_ns_.store(slowest_.back().TotalNanos(),
-                            std::memory_order_relaxed);
-  }
+  if (pos == slowest_.end() && slowest_.size() == kSlowestCapacity) return;
+  slowest_.insert(pos, record);
+  if (slowest_.size() > kSlowestCapacity) slowest_.pop_back();
 }
 
 RequestTracer::TraceSnapshot RequestTracer::Snapshot() const {
   TraceSnapshot snapshot;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Read under the lock, after every published record's id was assigned, so
+  // admitted >= traced holds in every snapshot.
   snapshot.admitted = next_id_.load(std::memory_order_relaxed) - 1;
-  uint64_t published = published_.load(std::memory_order_acquire);
-  snapshot.traced = published;
-  uint32_t capacity = ring_mask_ + 1;
-  uint64_t begin = published > capacity ? published - capacity : 0;
-  snapshot.recent.reserve(static_cast<size_t>(published - begin));
-  for (uint64_t ticket = begin; ticket < published; ++ticket) {
-    const Slot& slot = ring_[ticket & ring_mask_];
-    // Seqlock read: retry a few times on a torn slot, then skip it — a
-    // statsz dump tolerates a missing record, never a half-written one.
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      uint64_t before = slot.sequence.load(std::memory_order_acquire);
-      if (before & 1) continue;  // Write in progress.
-      uint64_t words[kSlotWords];
-      for (int i = 0; i < kSlotWords; ++i) {
-        words[i] = slot.words[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      uint64_t after = slot.sequence.load(std::memory_order_relaxed);
-      if (before == after && before != 0) {
-        snapshot.recent.push_back(DecodeRecord(words));
-        break;
-      }
-      if (before == 0 && after == 0) break;  // Never written (early startup).
-    }
+  snapshot.traced = published_;
+  snapshot.traced_total_ns = traced_total_ns_;
+  const uint64_t begin =
+      published_ > kRingCapacity ? published_ - kRingCapacity : 0;
+  snapshot.recent.reserve(static_cast<size_t>(published_ - begin));
+  for (uint64_t i = begin; i < published_; ++i) {
+    snapshot.recent.push_back(ring_[i % kRingCapacity]);
   }
-  {
-    std::lock_guard<std::mutex> lock(slowest_mu_);
-    snapshot.slowest = slowest_;
-  }
+  snapshot.slowest = slowest_;
   return snapshot;
 }
 

@@ -1,15 +1,16 @@
 // Request-scoped serve tracing: per-request stage timestamps recorded into a
-// lock-free ring buffer, with tail retention for the slowest requests.
+// fixed ring of recent records, with tail retention for the slowest requests.
 //
 // Design (DESIGN.md §14): every admitted query gets a monotonically-assigned
 // id from a RequestTracer. A uniform sample (1-in-sample_every) of requests is
 // *traced*: the engine stamps a timeline of stage timestamps into a
 // RequestContext as the query moves admit -> enqueue -> batch-form -> scan ->
-// reply, and Finish() publishes the completed record into a fixed-size ring
-// of recent records. The ring is written lock-free (fetch_add slot claim +
-// per-slot seqlock so readers detect torn records and skip them); a small
-// mutex-guarded side table additionally retains the slowest N requests ever
-// seen so the tail survives ring wrap-around (tail sampling).
+// reply, and Finish() publishes the completed record. One mutex guards the
+// tracer's shared state -- a ring of the kRingCapacity most recent records,
+// the kSlowestCapacity slowest records ever seen (so the tail survives ring
+// wrap-around) and the running sum of traced end-to-end nanoseconds -- and
+// is taken once per published record and once per Snapshot(), so a snapshot
+// always lists the newest records in publish order.
 //
 // The stage model telescopes: the five reported stages are consecutive
 // timestamp deltas covering [admit, replied] with no gaps, so per-stage
@@ -18,18 +19,20 @@
 // Cost contract (mirrors trace.h): when tracing is disabled — sample_every=0
 // or the context was sampled out — every RequestContext::Mark* call is a
 // branch on a bool already in the object; the only shared-state touch on the
-// sampled-out path is one relaxed fetch_add per request for id assignment,
-// which the serve path already performs for its own bookkeeping. Tracing
-// never changes query results: it only reads the clock and writes
-// tracer-owned memory (pinned by the serve bitwise-identity test).
+// sampled-out path is one relaxed fetch_add per request for id assignment.
+// The mutex is taken only for traced requests (1 in 16 by default) and by
+// statsz. Tracing never changes query results: it only reads the clock and
+// writes tracer-owned memory (pinned by the serve bitwise-identity test).
 
 #ifndef SARN_OBS_REQUEST_TRACE_H_
 #define SARN_OBS_REQUEST_TRACE_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace sarn::obs {
@@ -125,27 +128,24 @@ class RequestContext {
   bool traced_ = false;
 };
 
-/// Owns the ring buffer + slowest-N table. One per QueryEngine (serve) —
-/// the instance is engine-owned so hot-swapping an index never resets ids.
-/// Thread-safe: Admit/publish are called from admission + worker threads
-/// concurrently with Snapshot readers.
+/// Owns the ring of recent records + slowest-N table. One per QueryEngine
+/// (serve) — the instance is engine-owned so hot-swapping an index never
+/// resets ids. Thread-safe: Admit/publish are called from admission + worker
+/// threads concurrently with Snapshot readers.
 class RequestTracer {
  public:
-  struct Options {
-    /// Uniform sampling period: every sample_every-th admitted request is
-    /// traced. 1 = trace everything, 0 = tracing disabled (Admit still
-    /// assigns ids; contexts are inert).
-    uint32_t sample_every = 16;
-    /// Ring capacity (recent traced records); rounded up to a power of two.
-    uint32_t ring_capacity = 256;
-    /// How many all-time-slowest records to retain past ring wrap.
-    uint32_t slowest_capacity = 8;
-  };
+  /// Recent traced records retained for statsz.
+  static constexpr size_t kRingCapacity = 256;
+  /// All-time-slowest traced records retained past ring wrap-around.
+  static constexpr size_t kSlowestCapacity = 8;
 
-  explicit RequestTracer(const Options& options);
+  /// `sample_every` is the uniform sampling period: every sample_every-th
+  /// admitted request is traced. 1 = trace everything, 0 = tracing disabled
+  /// (Admit still assigns ids; contexts are inert).
+  explicit RequestTracer(uint32_t sample_every);
 
-  /// True when any request may be traced (sample_every > 0). A relaxed
-  /// member read — the disabled fast path the PR 3 invariant requires.
+  /// True when any request may be traced (sample_every > 0). A plain member
+  /// read, so the disabled path touches no shared state.
   bool enabled() const { return sample_every_ != 0; }
   uint32_t sample_every() const { return sample_every_; }
 
@@ -153,11 +153,12 @@ class RequestTracer {
   /// has admit stamped when traced.
   RequestContext Admit();
 
-  /// Point-in-time view for statsz: recent ring records (torn slots skipped,
-  /// newest last) and the slowest-N table (slowest first).
+  /// Point-in-time view for statsz: recent ring records (newest last, in
+  /// publish order) and the slowest-N table (slowest first).
   struct TraceSnapshot {
-    uint64_t admitted = 0;  // Requests admitted (ids assigned).
-    uint64_t traced = 0;    // Requests whose timeline was recorded.
+    uint64_t admitted = 0;         // Requests admitted (ids assigned).
+    uint64_t traced = 0;           // Requests whose timeline was recorded.
+    uint64_t traced_total_ns = 0;  // Σ end-to-end over traced requests.
     std::vector<RequestRecord> recent;
     std::vector<RequestRecord> slowest;
   };
@@ -167,32 +168,18 @@ class RequestTracer {
   friend class RequestContext;
   friend class RequestTracerTestPeer;  // Publishes fixed-timestamp records.
 
-  // A ring slot guarded by a seqlock: odd sequence = write in progress. The
-  // record payload is stored as relaxed atomic words (not a plain struct) so
-  // a torn read is detected by the sequence check, never a data race — the
-  // ring stays TSan-clean by construction.
-  static constexpr int kSlotWords = 8;
-  struct Slot {
-    std::atomic<uint64_t> sequence{0};
-    std::atomic<uint64_t> words[kSlotWords] = {};
-  };
-  static void EncodeRecord(const RequestRecord& record, uint64_t* words);
-  static RequestRecord DecodeRecord(const uint64_t* words);
-
   void Publish(const RequestRecord& record);
 
-  uint32_t sample_every_ = 0;
-  uint32_t ring_mask_ = 0;  // capacity - 1 (capacity is a power of two).
-  std::unique_ptr<Slot[]> ring_;
+  const uint32_t sample_every_;
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> published_{0};
 
-  uint32_t slowest_capacity_ = 0;
-  mutable std::mutex slowest_mu_;
+  mutable std::mutex mu_;
+  // Guarded by mu_. Record i (0-based publish order) lives in
+  // ring_[i % kRingCapacity].
+  std::array<RequestRecord, kRingCapacity> ring_;
+  uint64_t published_ = 0;
+  uint64_t traced_total_ns_ = 0;
   std::vector<RequestRecord> slowest_;  // Sorted slowest-first.
-  // Cheap pre-filter: requests faster than this can't enter the table, so
-  // the mutex is only taken for genuine tail candidates once it fills.
-  std::atomic<uint64_t> slowest_floor_ns_{0};
 };
 
 }  // namespace sarn::obs

@@ -100,15 +100,7 @@ QueryEngine::QueryEngine(std::shared_ptr<const tasks::EmbeddingIndex> index,
       locator_(std::move(locator)),
       cache_(options.cache_capacity),
       latency_seconds_(obs::DefaultLatencyBuckets()),
-      batch_size_(BatchSizeBuckets()),
-      tracer_([&options] {
-        obs::RequestTracer::Options trace;
-        trace.sample_every = options.trace_sample_every;
-        trace.ring_capacity = options.trace_ring_capacity;
-        trace.slowest_capacity = options.trace_slowest;
-        return trace;
-      }()),
-      traced_total_seconds_(obs::DefaultLatencyBuckets()) {
+      tracer_(options.trace_sample_every) {
   SARN_CHECK(index != nullptr);
   SARN_CHECK_GT(options_.max_batch, 0);
   for (int s = 0; s < obs::kRequestStageCount; ++s) {
@@ -305,7 +297,6 @@ void QueryEngine::ExecuteBatch(std::vector<Pending> batch) {
   batched_items_.fetch_add(batch.size(), std::memory_order_relaxed);
   metrics.batches.Increment();
   metrics.batch_size.Observe(static_cast<double>(batch.size()));
-  batch_size_.Observe(static_cast<double>(batch.size()));
 
   struct Slot {
     ServeResponse response;
@@ -389,8 +380,6 @@ void QueryEngine::ExecuteBatch(std::vector<Pending> batch) {
       const obs::RequestRecord& record = ctx.record();
       latency_seconds_.ObserveWithExemplar(seconds, record.id);
       metrics.latency_seconds.ObserveWithExemplar(seconds, record.id);
-      traced_total_seconds_.ObserveWithExemplar(
-          static_cast<double>(record.TotalNanos()) * 1e-9, record.id);
       for (int s = 0; s < obs::kRequestStageCount; ++s) {
         const double stage_seconds =
             static_cast<double>(
@@ -422,7 +411,10 @@ ServeStats QueryEngine::Stats() const {
   stats.qps = stats.uptime_seconds > 0.0
                   ? static_cast<double>(stats.requests) / stats.uptime_seconds
                   : 0.0;
-  stats.mean_batch_size = batch_size_.Mean();
+  stats.mean_batch_size =
+      stats.batches > 0 ? static_cast<double>(stats.batched_items) /
+                              static_cast<double>(stats.batches)
+                        : 0.0;
   stats.latency_p50_ms = latency_seconds_.Percentile(50) * 1e3;
   stats.latency_p95_ms = latency_seconds_.Percentile(95) * 1e3;
   stats.latency_p99_ms = latency_seconds_.Percentile(99) * 1e3;
@@ -452,6 +444,7 @@ ServeTraceStats QueryEngine::TraceStats() const {
   obs::RequestTracer::TraceSnapshot trace = tracer_.Snapshot();
   stats.admitted = trace.admitted;
   stats.traced = trace.traced;
+  stats.traced_total_ms = static_cast<double>(trace.traced_total_ns) * 1e-6;
   stats.recent = std::move(trace.recent);
   stats.slowest = std::move(trace.slowest);
 
@@ -477,7 +470,6 @@ ServeTraceStats QueryEngine::TraceStats() const {
     stage_total_ms += stage.total_ms;
     stats.stages.push_back(std::move(stage));
   }
-  stats.traced_total_ms = traced_total_seconds_.Sum() * 1e3;
   stats.attributed_fraction =
       stats.traced_total_ms > 0.0 ? stage_total_ms / stats.traced_total_ms : 1.0;
   return stats;

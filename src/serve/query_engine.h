@@ -23,8 +23,12 @@
 //    the epoch and clears the cache.
 //
 // Instrumented with src/obs metrics under sarn.serve.* (request/error
-// counters, batch-size and latency histograms, cache hits/misses, swap
-// count) and per-engine counters surfaced through Stats().
+// counters, batch-size, latency and per-stage histograms, cache hits/misses,
+// swap count) and per-engine counters surfaced through Stats(). Request
+// tracing (DESIGN.md §14) is an engine-owned obs::RequestTracer: its ring of
+// recent records, slowest-N table and traced end-to-end sum sit behind one
+// mutex taken once per traced reply and once per statsz, and TraceStats()
+// joins them with the per-stage histograms.
 
 #ifndef SARN_SERVE_QUERY_ENGINE_H_
 #define SARN_SERVE_QUERY_ENGINE_H_
@@ -67,10 +71,6 @@ struct ServeOptions {
   /// everything, 0 disables tracing entirely (the Mark* calls reduce to a
   /// dead branch). Tracing never changes results — only timestamps are read.
   uint32_t trace_sample_every = 16;
-  /// Recent traced records retained for statsz (rounded up to a power of 2).
-  uint32_t trace_ring_capacity = 256;
-  /// All-time-slowest traced records retained past ring wrap-around.
-  uint32_t trace_slowest = 8;
 };
 
 struct ServeRequest {
@@ -106,7 +106,7 @@ struct ServeStats {
   std::string simd_tier;        // Active kernel tier: "scalar" / "avx2" / "neon".
   double uptime_seconds = 0.0;
   double qps = 0.0;             // requests / uptime.
-  double mean_batch_size = 0.0;
+  double mean_batch_size = 0.0;  // batched_items / batches.
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
   double latency_p99_ms = 0.0;
@@ -241,15 +241,15 @@ class QueryEngine {
   std::atomic<uint64_t> batched_items_{0};
   std::atomic<uint64_t> swaps_{0};
   obs::Histogram latency_seconds_;
-  obs::Histogram batch_size_;
 
   // Request-scoped tracing (engine-owned so a snapshot hot-swap never resets
-  // request ids or the ring). Stage histograms record only traced requests;
-  // exemplar ids in their tail buckets come from the same requests the ring
-  // holds, so statsz can join a p99 bucket to a full timeline.
+  // request ids or the ring). The tracer keeps the recent and slowest
+  // records and the traced end-to-end sum; the stage histograms record only
+  // traced requests, and the exemplar ids in their tail buckets come from
+  // the same requests the ring holds, so statsz can join a p99 bucket to a
+  // full timeline.
   obs::RequestTracer tracer_;
   std::unique_ptr<obs::Histogram> stage_seconds_[obs::kRequestStageCount];
-  obs::Histogram traced_total_seconds_;
 };
 
 }  // namespace sarn::serve

@@ -112,16 +112,6 @@ Storage& Tensor::mutable_grad() {
   return impl_->grad;
 }
 
-Tensor Tensor::RowRange(int64_t begin_row, int64_t num_rows) const {
-  SARN_CHECK_EQ(rank(), 2);
-  SARN_CHECK(begin_row >= 0 && num_rows >= 0 && begin_row + num_rows <= impl_->shape[0]);
-  int64_t cols = impl_->shape[1];
-  return FromImpl(NewImpl(
-      {num_rows, cols},
-      Storage::View(impl_->data, static_cast<size_t>(begin_row * cols),
-                    static_cast<size_t>(num_rows * cols))));
-}
-
 float Tensor::item() const {
   SARN_CHECK_EQ(numel(), 1);
   return impl_->data[0];

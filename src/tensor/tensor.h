@@ -126,11 +126,6 @@ class Tensor {
   const Storage& grad() const;
   Storage& mutable_grad();
 
-  /// Zero-copy read-only view of rows [begin_row, begin_row + num_rows) of a
-  /// rank-2 tensor. Shares the underlying buffer (no copy, no tape); the view
-  /// must not outlive writes that resize the base and must not be mutated.
-  Tensor RowRange(int64_t begin_row, int64_t num_rows) const;
-
   float item() const;                       // Requires numel() == 1.
   float at(int64_t i) const;                // Rank-1 access.
   float at(int64_t i, int64_t j) const;     // Rank-2 access.

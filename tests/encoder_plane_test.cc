@@ -14,6 +14,10 @@
 // all-vertex samplers. They were recorded from the full-graph trainer, so
 // they also pin receptive-field steps (DESIGN.md §17) to its bits.
 //
+// The golden config is too small for any GEMM to reach the thread pool, so
+// ThreadSplitTrace trains the default model dims at 1 and 4 threads and
+// requires equal bits from a run whose regions really split.
+//
 // Regenerate (only when a change is *supposed* to shift the numerics):
 //   SARN_WRITE_GOLDEN=1 ./encoder_plane_test --gtest_filter='*RewriteGolden*'
 
@@ -119,16 +123,10 @@ const std::vector<Composition>& PinnedCompositions() {
   return kCompositions;
 }
 
-Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads,
-               const Composition* composition = nullptr) {
+Trace TrainTrace(const roadnet::RoadNetwork& network, const SarnConfig& config,
+                 size_t threads) {
   size_t saved = GetParallelThreads();
   SetParallelThreads(threads);
-  SarnConfig config = GoldenConfig();
-  if (composition != nullptr) {
-    config.encoder = composition->encoder;
-    config.augmentation = composition->augmentation;
-    config.negatives = composition->negatives;
-  }
   SarnModel model(network, config);
   TrainStats stats = model.Train(TrainOptions{});
   Trace trace;
@@ -136,6 +134,17 @@ Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads,
   trace.embedding_digest = TensorDigest(model.Embeddings());
   SetParallelThreads(saved);
   return trace;
+}
+
+Trace RunTrace(const roadnet::RoadNetwork& network, size_t threads,
+               const Composition* composition = nullptr) {
+  SarnConfig config = GoldenConfig();
+  if (composition != nullptr) {
+    config.encoder = composition->encoder;
+    config.augmentation = composition->augmentation;
+    config.negatives = composition->negatives;
+  }
+  return TrainTrace(network, config, threads);
 }
 
 std::string FormatTrace(size_t threads, const Trace& trace,
@@ -258,6 +267,29 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The golden config's GEMMs (hidden 16) all sit under the pool's
+// multiply-add floor, so its 4-thread run splits nothing. At the default
+// model dims (hidden 64, 4 heads, 12 per feature) the train-step GEMMs do
+// split, so this pins the 1-vs-4-thread bitwise contract through the whole
+// model on a schedule that really runs pool regions.
+TEST(ThreadSplitTrace, DefaultDimsBitwiseIdenticalAtOneAndFourThreads) {
+  SarnConfig config;
+  config.max_epochs = 2;
+  const auto network = GoldenCity();
+  const Trace serial = TrainTrace(network, config, 1);
+  const uint64_t regions_before = GetParallelPoolStats().regions;
+  const Trace split = TrainTrace(network, config, 4);
+  EXPECT_GT(GetParallelPoolStats().regions, regions_before)
+      << "no region reached the pool at 4 threads";
+  ASSERT_EQ(split.loss_bits.size(), serial.loss_bits.size());
+  for (size_t i = 0; i < serial.loss_bits.size(); ++i) {
+    EXPECT_EQ(split.loss_bits[i], serial.loss_bits[i])
+        << "epoch " << i << " loss bits diverge between 1 and 4 threads";
+  }
+  EXPECT_EQ(split.embedding_digest, serial.embedding_digest)
+      << "embedding bits diverge between 1 and 4 threads";
+}
 
 // --- Registry round-trip ------------------------------------------------------
 //

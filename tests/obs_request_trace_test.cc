@@ -1,8 +1,9 @@
 // Tests for the request-scoped serve tracer (src/obs/request_trace.h) and
 // the SLO watchdog's windowed evaluation (src/obs/slo.h).
 //
-// The concurrent publish+snapshot test doubles as the TSan surface for the
-// seqlock ring (tools/verify.sh runs this binary under -fsanitize=thread).
+// The concurrent publish+snapshot tests double as the TSan surface for the
+// tracer's ring (tools/verify.sh runs this binary under -fsanitize=thread and
+// repeats the *Concurrent* cases 200 times back to back).
 
 #include "obs/request_trace.h"
 
@@ -62,9 +63,7 @@ TEST(RequestRecordTest, StageNamesAreDistinct) {
 }
 
 TEST(RequestTracerTest, AssignsMonotonicIdsAndSamplesUniformly) {
-  RequestTracer::Options options;
-  options.sample_every = 4;
-  RequestTracer tracer(options);
+  RequestTracer tracer(4);
   ASSERT_TRUE(tracer.enabled());
 
   uint64_t prev_id = 0;
@@ -86,9 +85,7 @@ TEST(RequestTracerTest, AssignsMonotonicIdsAndSamplesUniformly) {
 }
 
 TEST(RequestTracerTest, DisabledTracerIsInert) {
-  RequestTracer::Options options;
-  options.sample_every = 0;
-  RequestTracer tracer(options);
+  RequestTracer tracer(0);
   EXPECT_FALSE(tracer.enabled());
 
   for (int i = 0; i < 8; ++i) {
@@ -115,9 +112,7 @@ TEST(RequestTracerTest, DefaultConstructedContextIsInert) {
 }
 
 TEST(RequestTracerTest, FinishBackFillsUnstampedStages) {
-  RequestTracer::Options options;
-  options.sample_every = 1;
-  RequestTracer tracer(options);
+  RequestTracer tracer(1);
 
   // Stamp only enqueued: later stages must collapse to zero, never go
   // negative, and the telescoping invariant must hold.
@@ -140,9 +135,7 @@ TEST(RequestTracerTest, FinishBackFillsUnstampedStages) {
 }
 
 TEST(RequestTracerTest, FinishIsIdempotent) {
-  RequestTracer::Options options;
-  options.sample_every = 1;
-  RequestTracer tracer(options);
+  RequestTracer tracer(1);
   RequestContext ctx = tracer.Admit();
   ctx.Finish(true);
   EXPECT_EQ(ctx.Finish(true), 0u);  // Second call is a no-op.
@@ -150,9 +143,7 @@ TEST(RequestTracerTest, FinishIsIdempotent) {
 }
 
 TEST(RequestTracerTest, RecordsOkFlagAndCacheHit) {
-  RequestTracer::Options options;
-  options.sample_every = 1;
-  RequestTracer tracer(options);
+  RequestTracer tracer(1);
 
   RequestContext hit = tracer.Admit();
   hit.MarkCacheHit();
@@ -169,39 +160,23 @@ TEST(RequestTracerTest, RecordsOkFlagAndCacheHit) {
 }
 
 TEST(RequestTracerTest, RingWrapsKeepingNewestRecords) {
-  RequestTracer::Options options;
-  options.sample_every = 1;
-  options.ring_capacity = 8;  // Already a power of two.
-  options.slowest_capacity = 2;
-  RequestTracer tracer(options);
-
-  for (int i = 0; i < 20; ++i) {
+  RequestTracer tracer(1);
+  constexpr uint64_t kCapacity = RequestTracer::kRingCapacity;
+  constexpr uint64_t kPublished = kCapacity + 20;
+  for (uint64_t i = 0; i < kPublished; ++i) {
     tracer.Admit().Finish(true);
   }
   RequestTracer::TraceSnapshot snap = tracer.Snapshot();
-  EXPECT_EQ(snap.traced, 20u);
-  EXPECT_EQ(snap.recent.size(), 8u);
-  // The ring keeps the newest 8 records, oldest first.
+  EXPECT_EQ(snap.traced, kPublished);
+  ASSERT_EQ(snap.recent.size(), kCapacity);
+  // The ring keeps the newest kCapacity records, oldest first.
   for (size_t i = 0; i < snap.recent.size(); ++i) {
-    EXPECT_EQ(snap.recent[i].id, 13 + i);
+    EXPECT_EQ(snap.recent[i].id, kPublished - kCapacity + 1 + i);
   }
 }
 
-TEST(RequestTracerTest, RingCapacityRoundsUpToPowerOfTwo) {
-  RequestTracer::Options options;
-  options.sample_every = 1;
-  options.ring_capacity = 5;  // Rounds up to 8.
-  RequestTracer tracer(options);
-  for (int i = 0; i < 8; ++i) tracer.Admit().Finish(true);
-  EXPECT_EQ(tracer.Snapshot().recent.size(), 8u);
-}
-
 TEST(RequestTracerTest, SlowestTableSurvivesRingWrap) {
-  RequestTracer::Options options;
-  options.sample_every = 1;
-  options.ring_capacity = 4;
-  options.slowest_capacity = 3;
-  RequestTracer tracer(options);
+  RequestTracer tracer(1);
 
   // Records carry fixed timestamps, published through the tracer's own
   // publish path: every traced record lands in the slowest table until it
@@ -212,31 +187,36 @@ TEST(RequestTracerTest, SlowestTableSurvivesRingWrap) {
   const uint64_t slow_id = slow.id();
   RequestTracerTestPeer::Publish(tracer, MakeRecord(slow_id, 1000, 20'000'000));
 
-  for (int i = 0; i < 16; ++i) {
+  uint64_t total_ns = 20'000'000;
+  for (size_t i = 0; i < RequestTracer::kRingCapacity + 16; ++i) {
     RequestContext fast = tracer.Admit();
     ASSERT_TRUE(fast.traced());
     const uint64_t base_ns = 30'000'000 + static_cast<uint64_t>(i) * 100'000;
-    RequestTracerTestPeer::Publish(
-        tracer, MakeRecord(fast.id(), base_ns, 5'000 + static_cast<uint64_t>(i)));
+    const uint64_t fast_ns = 5'000 + static_cast<uint64_t>(i);
+    RequestTracerTestPeer::Publish(tracer,
+                                   MakeRecord(fast.id(), base_ns, fast_ns));
+    total_ns += fast_ns;
   }
 
   RequestTracer::TraceSnapshot snap = tracer.Snapshot();
-  EXPECT_EQ(snap.recent.size(), 4u);  // The slow request aged out of the ring.
-  ASSERT_FALSE(snap.slowest.empty());
-  EXPECT_LE(snap.slowest.size(), 3u);
+  // The slow request aged out of the ring.
+  ASSERT_EQ(snap.recent.size(), RequestTracer::kRingCapacity);
+  EXPECT_NE(snap.recent.front().id, slow_id);
+  EXPECT_EQ(snap.traced_total_ns, total_ns);
+  ASSERT_EQ(snap.slowest.size(), RequestTracer::kSlowestCapacity);
   // Slowest-first ordering, and the deliberately slow request leads.
   EXPECT_EQ(snap.slowest[0].id, slow_id);
   for (size_t i = 1; i < snap.slowest.size(); ++i) {
     EXPECT_GE(snap.slowest[i - 1].TotalNanos(), snap.slowest[i].TotalNanos());
   }
+  // The rest of the table is the slowest of the fast records.
+  EXPECT_EQ(snap.slowest.back().TotalNanos(),
+            5'000 + RequestTracer::kRingCapacity + 16 -
+                (RequestTracer::kSlowestCapacity - 1));
 }
 
 TEST(RequestTracerTest, ConcurrentPublishAndSnapshotStaysConsistent) {
-  RequestTracer::Options options;
-  options.sample_every = 1;
-  options.ring_capacity = 16;
-  options.slowest_capacity = 4;
-  RequestTracer tracer(options);
+  RequestTracer tracer(1);
 
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 2000;
@@ -245,9 +225,8 @@ TEST(RequestTracerTest, ConcurrentPublishAndSnapshotStaysConsistent) {
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
       RequestTracer::TraceSnapshot snap = tracer.Snapshot();
-      // Every decoded record must be internally consistent — a torn read
-      // would violate the telescoping invariant (ids are stamped with
-      // strictly increasing timestamps by the writers).
+      // Every record must be internally consistent: a torn read would
+      // violate the telescoping invariant.
       for (const RequestRecord& r : snap.recent) {
         EXPECT_GT(r.id, 0u);
         EXPECT_LE(r.admit_ns, r.replied_ns);
@@ -257,6 +236,7 @@ TEST(RequestTracerTest, ConcurrentPublishAndSnapshotStaysConsistent) {
         }
         EXPECT_EQ(sum, r.TotalNanos());
       }
+      EXPECT_LE(snap.traced, snap.admitted);
     }
   });
 
@@ -280,7 +260,52 @@ TEST(RequestTracerTest, ConcurrentPublishAndSnapshotStaysConsistent) {
   RequestTracer::TraceSnapshot snap = tracer.Snapshot();
   EXPECT_EQ(snap.admitted, uint64_t{kWriters} * kPerWriter);
   EXPECT_EQ(snap.traced, uint64_t{kWriters} * kPerWriter);
-  EXPECT_EQ(snap.recent.size(), 16u);
+  EXPECT_EQ(snap.recent.size(), RequestTracer::kRingCapacity);
+}
+
+// One writer publishes ids 1, 2, 3, ... in order while a reader snapshots in
+// a loop: every snapshot must list exactly the newest min(traced, capacity)
+// records, oldest first — never a slot's previous-lap record in the place of
+// the newest one, nor a next-lap record among the oldest.
+TEST(RequestTracerTest, ConcurrentSnapshotsListRecentInPublishOrder) {
+  RequestTracer tracer(1);
+  constexpr uint64_t kCapacity = RequestTracer::kRingCapacity;
+  constexpr uint64_t kFullSnapshots = 2000;
+  std::atomic<uint64_t> full_snapshots{0};
+  std::atomic<bool> stop{false};
+  uint64_t snapshots = 0;
+  uint64_t out_of_order = 0;
+
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      RequestTracer::TraceSnapshot snap = tracer.Snapshot();
+      ++snapshots;
+      const uint64_t expected_size = std::min(snap.traced, kCapacity);
+      bool ordered = snap.recent.size() == expected_size;
+      for (size_t i = 0; ordered && i < snap.recent.size(); ++i) {
+        // Single writer, every request traced: the i-th published record
+        // carries id i + 1.
+        ordered = snap.recent[i].id == snap.traced - expected_size + 1 + i;
+      }
+      if (!ordered) ++out_of_order;
+      if (snap.traced >= kCapacity) {
+        full_snapshots.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+
+  // Publish until the reader has copied a full ring kFullSnapshots times,
+  // so the two overlap however the threads are scheduled.
+  uint64_t published = 0;
+  while (full_snapshots.load(std::memory_order_relaxed) < kFullSnapshots) {
+    tracer.Admit().Finish(true);
+    ++published;
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(out_of_order, 0u) << "of " << snapshots << " snapshots";
+  EXPECT_EQ(tracer.Snapshot().traced, published);
 }
 
 // --- SloWatchdog::Evaluate (pure windowed math, no threads) ---

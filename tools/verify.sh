@@ -18,12 +18,15 @@
 #      after the serve suite, a stress stage: the two steady-state
 #      allocation pins (EmbeddingIndexTest.QueryBatchBuildsNoTapeNodesAndNo-
 #      SteadyStateAllocs, QuantizedIndexTest.SteadyStateQueriesAreAllocation-
-#      Free) run 50 times back to back, the serve label runs 20 times and
-#      the checkpoint, snapshot, encoder (golden-trace and receptive-field
-#      pins), obs (request-trace ring) and simd (scalar-vs-vector kernel
-#      and GEMM bitwise pins, the GAT layer's 1-vs-4-thread pin) labels 10
-#      times each under ctest -j$(nproc), so an invariant that holds only
-#      under some thread schedules fails here instead of as a rare flake;
+#      Free) run 50 times back to back and the request tracer's concurrent
+#      publish/snapshot cases (obs_request_trace_test *Concurrent*) 200
+#      times, the serve label runs 20 times and the checkpoint, snapshot,
+#      encoder (golden-trace and receptive-field pins, the default-dims
+#      1-vs-4-thread trace), obs (request-trace ring) and simd
+#      (scalar-vs-vector kernel and GEMM bitwise pins, the GAT layer's
+#      1-vs-4-thread pin) labels 10 times each under ctest -j$(nproc), so
+#      an invariant that holds only under some thread schedules fails here
+#      instead of as a rare flake;
 #   5. the SIMD suite (ctest -L simd: scalar-vs-vector bitwise identity,
 #      int8 kernel exactness, quantized recall@10 gate) in the default build,
 #      plus tools/check_gemm_registers.py on the AVX2 GEMM object,
@@ -31,7 +34,7 @@
 #      scalar fallback configuration stays green on its own;
 #   6. the concurrency-sensitive tests (parallel runtime, matmul kernels,
 #      GAT grad-path fusion, buffer-pool acquire/release, metrics registry, the
-#      request-trace seqlock ring, serve engine hot-swap, SIMD kernels) plus
+#      mutex-guarded request-trace ring, serve engine hot-swap, SIMD kernels) plus
 #      the checkpoint suite rebuilt under ThreadSanitizer, so a pool
 #      regression, a race in resumed training, a race on a telemetry
 #      instrument, a torn trace record, or a torn snapshot swap shows up as a
@@ -108,6 +111,9 @@ if [[ "$mode" != "--tsan-only" ]]; then
     --gtest_filter=EmbeddingIndexTest.QueryBatchBuildsNoTapeNodesAndNoSteadyStateAllocs
   build/tests/quantized_index_test --gtest_repeat=50 --gtest_brief=1 \
     --gtest_filter=QuantizedIndexTest.SteadyStateQueriesAreAllocationFree
+  # Every snapshot must list the newest trace records in publish order.
+  build/tests/obs_request_trace_test --gtest_repeat=200 --gtest_brief=1 \
+    --gtest_filter='*Concurrent*'
   (cd build && ctest --output-on-failure -L serve --repeat until-fail:20 \
     -j"$jobs")
   (cd build && ctest --output-on-failure -L checkpoint --repeat until-fail:10 \
