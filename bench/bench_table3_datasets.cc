@@ -28,7 +28,7 @@ void Run() {
   std::vector<std::string> length_row = {"Mean segment length (m)"};
   std::vector<std::string> nmi_row = {"Type<->speed NMI"};
 
-  for (const std::string& city : {"CD", "BJ", "SF"}) {
+  for (const char* city : {"CD", "BJ", "SF"}) {
     roadnet::RoadNetwork network = BuildCity(city, env);
     core::SpatialSimilarityConfig similarity;
     std::vector<core::SpatialEdge> spatial =

@@ -45,7 +45,7 @@ void Run() {
       task_config.seed = 71 + rep;
       tasks::TrajectorySimilarityTask task(network, trajectories, task_config);
 
-      for (const std::string& method : {"node2vec", "SRN2Vec", "GraphCL", "GCA", "RNE"}) {
+      for (const char* method : {"node2vec", "SRN2Vec", "GraphCL", "GCA", "RNE"}) {
         EmbeddingRun run = RunMethod(method, network, env, rep);
         if (run.out_of_memory) continue;
         tasks::FrozenEmbeddingSource source(run.embeddings);

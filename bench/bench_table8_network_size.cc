@@ -80,7 +80,7 @@ void Run() {
         results[method][city].mre.Add(100.0 * spd_task.Evaluate(source).mre);
       };
 
-      for (const std::string& method : {"node2vec", "SRN2Vec", "GraphCL", "RNE"}) {
+      for (const char* method : {"node2vec", "SRN2Vec", "GraphCL", "RNE"}) {
         EmbeddingRun run = RunMethod(method, network, env, rep);
         eval_frozen(method, run.embeddings);
       }

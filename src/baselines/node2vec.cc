@@ -96,12 +96,4 @@ tensor::Tensor TrainNode2Vec(const roadnet::RoadNetwork& network,
   return tensor::Tensor::FromVector({n, d}, std::move(in));
 }
 
-tensor::Tensor TrainDeepWalk(const roadnet::RoadNetwork& network,
-                             const Node2VecConfig& config) {
-  Node2VecConfig uniform = config;
-  uniform.walk.p = 1.0;
-  uniform.walk.q = 1.0;
-  return TrainNode2Vec(network, uniform);
-}
-
 }  // namespace sarn::baselines

@@ -32,12 +32,6 @@ struct Node2VecConfig {
 tensor::Tensor TrainNode2Vec(const roadnet::RoadNetwork& network,
                              const Node2VecConfig& config);
 
-/// DeepWalk (Perozzi et al., KDD'14), the other random-walk baseline the
-/// paper's related work cites: node2vec with uniform (p = q = 1),
-/// weight-blind first-order walks.
-tensor::Tensor TrainDeepWalk(const roadnet::RoadNetwork& network,
-                             const Node2VecConfig& config);
-
 }  // namespace sarn::baselines
 
 #endif  // SARN_BASELINES_NODE2VEC_H_

@@ -70,10 +70,6 @@ class Rng {
   std::vector<size_t> WeightedSampleWithoutReplacement(const std::vector<double>& weights,
                                                        size_t k);
 
-  /// Derives an independent child generator; useful for giving each component
-  /// its own stream from one master seed.
-  Rng Fork() { return Rng(engine_()); }
-
   /// Serialises the engine state so the stream can be resumed exactly.
   /// Because every distribution object is constructed per call, the engine
   /// state is the *complete* state of an Rng: after LoadState the generator

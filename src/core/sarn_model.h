@@ -170,8 +170,6 @@ class SarnModel {
   /// The resolved registry names this model is composed of (config names
   /// after legacy-ablation mapping; see ResolvedVariantTag).
   const VariantTag& variant_tag() const { return variant_tag_; }
-  const char* encoder_name() const { return variant_tag_.encoder.c_str(); }
-  const char* augmentation_name() const { return variant_tag_.augmentation.c_str(); }
   const char* negatives_name() const { return variant_tag_.negatives.c_str(); }
 
   /// All trainable parameters of the online branch (tests/inspection).

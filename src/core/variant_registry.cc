@@ -1,7 +1,5 @@
 #include "core/variant_registry.h"
 
-#include <utility>
-
 namespace sarn::core {
 namespace {
 
@@ -24,66 +22,53 @@ std::vector<std::string> SortedKeys(const Map& map) {
 }  // namespace
 
 VariantRegistry::VariantRegistry() {
-  RegisterEncoder("gat", [](const VariantContext& context, Rng& rng) {
+  encoders_["gat"] = [](const VariantContext& context, Rng& rng) {
     return MakeGatEncoder(*context.config, context.input_dim, rng);
-  });
-  RegisterEncoder("rfn", [](const VariantContext& context, Rng& rng) {
+  };
+  encoders_["rfn"] = [](const VariantContext& context, Rng& rng) {
     return MakeRfnEncoder(*context.config, context.input_dim, rng);
-  });
+  };
 
-  RegisterAugmentation("spatial-importance", [](const VariantContext& context) {
+  augmentations_["spatial-importance"] = [](const VariantContext& context) {
     return MakeSpatialImportanceAugmentation(*context.network, *context.spatial_edges,
                                              CorruptionConfigOf(*context.config));
-  });
-  RegisterAugmentation("third-law", [](const VariantContext& context) {
+  };
+  augmentations_["third-law"] = [](const VariantContext& context) {
     ThirdLawConfig third_law;
     third_law.radius_meters = context.config->third_law_radius_meters;
     third_law.min_similarity = context.config->third_law_min_similarity;
     third_law.neighbors = context.config->third_law_neighbors;
     return MakeThirdLawAugmentation(*context.network, *context.spatial_edges,
                                     CorruptionConfigOf(*context.config), third_law);
-  });
-  RegisterAugmentation("uniform-drop", [](const VariantContext& context) {
+  };
+  augmentations_["uniform-drop"] = [](const VariantContext& context) {
     return MakeUniformDropAugmentation(*context.network, *context.features,
                                        context.config->edge_drop_rate,
                                        context.config->feature_mask_rate);
-  });
-  RegisterAugmentation("adaptive-drop", [](const VariantContext& context) {
+  };
+  augmentations_["adaptive-drop"] = [](const VariantContext& context) {
     return MakeAdaptiveDropAugmentation(*context.network,
                                         context.config->edge_drop_rate,
                                         context.config->epsilon);
-  });
+  };
 
-  RegisterSampler("spatial", [](const VariantContext& context) {
+  samplers_["spatial"] = [](const VariantContext& context) {
     return MakeSpatialNegativeSampler(*context.network, *context.config);
-  });
-  RegisterSampler("random", [](const VariantContext& context) {
+  };
+  samplers_["random"] = [](const VariantContext& context) {
     return MakeRandomNegativeSampler(*context.network, *context.config);
-  });
-  RegisterSampler("in-batch", [](const VariantContext& context) {
+  };
+  samplers_["in-batch"] = [](const VariantContext& context) {
     return MakeInBatchNegativeSampler(*context.config);
-  });
-  RegisterSampler("all-vertex", [](const VariantContext& context) {
+  };
+  samplers_["all-vertex"] = [](const VariantContext& context) {
     return MakeAllVertexNegativeSampler(*context.config);
-  });
+  };
 }
 
 VariantRegistry& VariantRegistry::Instance() {
   static VariantRegistry* registry = new VariantRegistry();
   return *registry;
-}
-
-void VariantRegistry::RegisterEncoder(const std::string& name, EncoderFactory factory) {
-  encoders_[name] = std::move(factory);
-}
-
-void VariantRegistry::RegisterAugmentation(const std::string& name,
-                                           AugmentationFactory factory) {
-  augmentations_[name] = std::move(factory);
-}
-
-void VariantRegistry::RegisterSampler(const std::string& name, SamplerFactory factory) {
-  samplers_[name] = std::move(factory);
 }
 
 bool VariantRegistry::HasEncoder(const std::string& name) const {

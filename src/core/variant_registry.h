@@ -2,11 +2,8 @@
 // (DESIGN.md §16): encoders, augmentations, and negative samplers. SarnModel
 // resolves its configured variant names here; the CLI and tests enumerate
 // the registered names to expose/exercise every variant without hard-coding
-// the list anywhere else.
-//
-// Built-in variants are registered on first access. External code may add
-// further factories (e.g. from experiments) before constructing models; a
-// later registration under an existing name replaces the earlier one.
+// the list anywhere else. The set of variants is fixed: the constructor
+// registers every built-in, and a new variant is added there.
 
 #ifndef SARN_CORE_VARIANT_REGISTRY_H_
 #define SARN_CORE_VARIANT_REGISTRY_H_
@@ -52,10 +49,6 @@ class VariantRegistry {
 
   /// The process-wide registry, with built-ins already registered.
   static VariantRegistry& Instance();
-
-  void RegisterEncoder(const std::string& name, EncoderFactory factory);
-  void RegisterAugmentation(const std::string& name, AugmentationFactory factory);
-  void RegisterSampler(const std::string& name, SamplerFactory factory);
 
   bool HasEncoder(const std::string& name) const;
   bool HasAugmentation(const std::string& name) const;

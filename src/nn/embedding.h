@@ -21,7 +21,6 @@ class Embedding : public Module {
 
   std::vector<tensor::Tensor> Parameters() const override;
 
-  int64_t num_entries() const { return table_.shape()[0]; }
   int64_t dim() const { return table_.shape()[1]; }
   const tensor::Tensor& table() const { return table_; }
 

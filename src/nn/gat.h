@@ -100,15 +100,12 @@ class GatLayer : public Module {
   /// `residual` adds a (linearly projected) skip connection from the layer
   /// input to its output before the activation — standard in GAT stacks; it
   /// preserves per-vertex identity against neighborhood over-smoothing.
+  /// Without `use_attention`, aggregation is a uniform mean over incoming
+  /// edges (the paper's footnote-1 alternative of fixed adjacency weights).
   GatLayer(int64_t in_dim, int64_t head_dim, int num_heads, bool concat_heads,
            Activation activation, Rng& rng, float leaky_relu_slope = 0.2f,
            bool add_self_loops = true, bool residual = true,
            bool use_attention = true);
-
-  /// Disables the learned attention scores: aggregation becomes a uniform
-  /// mean over incoming edges (the paper's footnote-1 alternative of using
-  /// fixed adjacency weights instead of attention).
-  void set_use_attention(bool value) { use_attention_ = value; }
 
   /// x: [n, in_dim]; vertices referenced by `edges` must be < n. The
   /// all-rows case of the LayerGraph forward (self-loops added here).

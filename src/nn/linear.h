@@ -25,7 +25,6 @@ class Linear : public Module {
 
   std::vector<tensor::Tensor> Parameters() const override;
 
-  int64_t in_features() const { return weight_.shape()[0]; }
   int64_t out_features() const { return weight_.shape()[1]; }
 
  private:

@@ -11,10 +11,6 @@ Tensor MseLoss(const Tensor& prediction, const Tensor& target) {
   return tensor::Mean(tensor::Square(tensor::Sub(prediction, target)));
 }
 
-Tensor L1Loss(const Tensor& prediction, const Tensor& target) {
-  return tensor::Mean(tensor::Abs(tensor::Sub(prediction, target)));
-}
-
 Tensor CrossEntropyWithLogits(const Tensor& logits, const std::vector<int64_t>& labels) {
   SARN_CHECK_EQ(logits.rank(), 2);
   SARN_CHECK_EQ(logits.shape()[0], static_cast<int64_t>(labels.size()));

@@ -14,9 +14,6 @@ namespace sarn::nn {
 /// Mean squared error over all elements.
 tensor::Tensor MseLoss(const tensor::Tensor& prediction, const tensor::Tensor& target);
 
-/// Mean absolute error over all elements.
-tensor::Tensor L1Loss(const tensor::Tensor& prediction, const tensor::Tensor& target);
-
 /// Multi-class cross entropy from raw logits [m, k] and integer labels [m].
 tensor::Tensor CrossEntropyWithLogits(const tensor::Tensor& logits,
                                       const std::vector<int64_t>& labels);

@@ -1,5 +1,6 @@
 #include "roadnet/io.h"
 
+#include <cmath>
 #include <unordered_map>
 
 #include "common/csv.h"
@@ -7,6 +8,16 @@
 #include "common/string_util.h"
 
 namespace sarn::roadnet {
+namespace {
+
+// False for coordinates off the globe, and so for NaN and infinities (which
+// fail the comparisons): any of them would reach the integer grid casts of
+// the featurizer as undefined behaviour.
+bool OnGlobe(double lat, double lng) {
+  return std::fabs(lat) <= 90.0 && std::fabs(lng) <= 180.0;
+}
+
+}  // namespace
 
 bool SaveRoadNetworkCsv(const RoadNetwork& network, const std::string& path) {
   CsvTable table;
@@ -53,7 +64,8 @@ std::optional<RoadNetwork> LoadRoadNetworkCsv(const std::string& path) {
     auto start_lng = ParseDouble(row[5]);
     auto end_lat = ParseDouble(row[6]);
     auto end_lng = ParseDouble(row[7]);
-    if (!from || !to || !type || !start_lat || !start_lng || !end_lat || !end_lng) {
+    if (!from || !to || !type || !start_lat || !start_lng || !end_lat || !end_lng ||
+        !OnGlobe(*start_lat, *start_lng) || !OnGlobe(*end_lat, *end_lng)) {
       SARN_LOG(Error) << "malformed row in " << path;
       return std::nullopt;
     }

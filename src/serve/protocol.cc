@@ -1,9 +1,6 @@
 #include "serve/protocol.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -12,212 +9,8 @@
 namespace sarn::serve {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON reader: one object of string/number/bool/null/
-// array-of-number values. Anything nested is rejected — the request grammar
-// is flat by design, and rejecting early keeps the parser small and safe.
-
-struct JsonField {
-  enum class Type { kNumber, kString, kBool, kNull, kNumberArray };
-  Type type = Type::kNull;
-  double number = 0.0;
-  bool boolean = false;
-  std::string text;
-  std::vector<double> numbers;
-};
-
-class FlatJsonReader {
- public:
-  explicit FlatJsonReader(std::string_view text) : text_(text) {}
-
-  // Parses the whole line into *fields; false + error_ on malformed input.
-  bool Read(std::map<std::string, JsonField>* fields) {
-    SkipSpace();
-    if (!Consume('{')) return Fail("expected '{'");
-    SkipSpace();
-    if (Consume('}')) return AtEnd();
-    for (;;) {
-      std::string key;
-      if (!ReadString(&key)) return false;
-      SkipSpace();
-      if (!Consume(':')) return Fail("expected ':'");
-      JsonField field;
-      if (!ReadValue(&field)) return false;
-      (*fields)[key] = std::move(field);
-      SkipSpace();
-      if (Consume(',')) {
-        SkipSpace();
-        continue;
-      }
-      if (Consume('}')) return AtEnd();
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  bool AtEnd() {
-    SkipSpace();
-    if (pos_ != text_.size()) return Fail("trailing characters after object");
-    return true;
-  }
-
-  bool Fail(const std::string& message) {
-    if (error_.empty()) {
-      error_ = message + " at byte " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r' ||
-            text_[pos_] == '\n')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  bool ReadString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char escape = text_[pos_++];
-        switch (escape) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Flat request strings are file paths; keep \uXXXX simple by
-            // passing the code unit through as UTF-8 for the BMP-ASCII case
-            // and rejecting anything that needs surrogates.
-            if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return Fail("bad \\u escape");
-            }
-            if (code > 0x7F) return Fail("non-ASCII \\u escape unsupported");
-            out->push_back(static_cast<char>(code));
-            break;
-          }
-          default:
-            return Fail("bad escape");
-        }
-        continue;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return Fail("control char in string");
-      out->push_back(c);
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ReadNumber(double* out) {
-    SkipSpace();
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected number");
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
-      return Fail("bad number '" + token + "'");
-    }
-    *out = value;
-    return true;
-  }
-
-  bool ReadValue(JsonField* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("expected value");
-    char c = text_[pos_];
-    if (c == '"') {
-      out->type = JsonField::Type::kString;
-      return ReadString(&out->text);
-    }
-    if (c == 't') {
-      if (!ConsumeWord("true")) return Fail("bad literal");
-      out->type = JsonField::Type::kBool;
-      out->boolean = true;
-      return true;
-    }
-    if (c == 'f') {
-      if (!ConsumeWord("false")) return Fail("bad literal");
-      out->type = JsonField::Type::kBool;
-      out->boolean = false;
-      return true;
-    }
-    if (c == 'n') {
-      if (!ConsumeWord("null")) return Fail("bad literal");
-      out->type = JsonField::Type::kNull;
-      return true;
-    }
-    if (c == '[') {
-      ++pos_;
-      out->type = JsonField::Type::kNumberArray;
-      SkipSpace();
-      if (Consume(']')) return true;
-      for (;;) {
-        double value = 0.0;
-        if (!ReadNumber(&value)) return false;
-        out->numbers.push_back(value);
-        SkipSpace();
-        if (Consume(',')) continue;
-        if (Consume(']')) return true;
-        return Fail("expected ',' or ']'");
-      }
-    }
-    if (c == '{') return Fail("nested objects unsupported");
-    out->type = JsonField::Type::kNumber;
-    return ReadNumber(&out->number);
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
-
-const JsonField* FindField(const std::map<std::string, JsonField>& fields,
-                           const std::string& name) {
-  auto it = fields.find(name);
-  return it == fields.end() ? nullptr : &it->second;
-}
+using obs::FlatJsonValue;
+using Type = FlatJsonValue::Type;
 
 ParsedLine Invalid(std::string error) {
   ParsedLine parsed;
@@ -226,8 +19,8 @@ ParsedLine Invalid(std::string error) {
   return parsed;
 }
 
-std::optional<int64_t> AsInteger(const JsonField& field) {
-  if (field.type != JsonField::Type::kNumber) return std::nullopt;
+std::optional<int64_t> AsInteger(const FlatJsonValue& field) {
+  if (field.type != Type::kNumber) return std::nullopt;
   double rounded = std::nearbyint(field.number);
   if (rounded != field.number || std::fabs(rounded) > 9.2e18) return std::nullopt;
   return static_cast<int64_t>(rounded);
@@ -250,13 +43,15 @@ void AppendNeighbors(const std::vector<tasks::Neighbor>& neighbors,
 }  // namespace
 
 ParsedLine ParseRequestLine(std::string_view line, int default_k) {
-  std::map<std::string, JsonField> fields;
-  FlatJsonReader reader(line);
-  if (!reader.Read(&fields)) return Invalid("parse error: " + reader.error());
+  obs::FlatJsonObject fields;
+  std::string error;
+  if (!obs::ReadFlatJsonObject(line, &fields, &error)) {
+    return Invalid("parse error: " + error);
+  }
 
   std::string op = "query";
-  if (const JsonField* field = FindField(fields, "op")) {
-    if (field->type != JsonField::Type::kString) return Invalid("\"op\" must be a string");
+  if (const FlatJsonValue* field = fields.Find("op")) {
+    if (field->type != Type::kString) return Invalid("\"op\" must be a string");
     op = field->text;
   }
 
@@ -271,9 +66,12 @@ ParsedLine ParseRequestLine(std::string_view line, int default_k) {
     return parsed;
   }
   if (op == "reload") {
-    const JsonField* path = FindField(fields, "embeddings");
-    if (path == nullptr || path->type != JsonField::Type::kString || path->text.empty()) {
+    const FlatJsonValue* path = fields.Find("embeddings");
+    if (path == nullptr || path->type != Type::kString || path->text.empty()) {
       return Invalid("reload needs \"embeddings\": \"<csv path>\"");
+    }
+    if (path->non_ascii_escape) {
+      return Invalid("\"embeddings\" path: non-ASCII \\u escape unsupported");
     }
     ParsedLine parsed;
     parsed.op = ParsedLine::Op::kReload;
@@ -285,7 +83,7 @@ ParsedLine ParseRequestLine(std::string_view line, int default_k) {
   ParsedLine parsed;
   parsed.op = ParsedLine::Op::kQuery;
   parsed.request.k = default_k;
-  if (const JsonField* k = FindField(fields, "k")) {
+  if (const FlatJsonValue* k = fields.Find("k")) {
     std::optional<int64_t> value = AsInteger(*k);
     if (!value.has_value() || *value < 0 || *value > 1'000'000) {
       return Invalid("\"k\" must be a non-negative integer");
@@ -293,11 +91,11 @@ ParsedLine ParseRequestLine(std::string_view line, int default_k) {
     parsed.request.k = static_cast<int>(*value);
   }
 
-  const JsonField* id = FindField(fields, "id");
-  const JsonField* vector = FindField(fields, "vector");
-  const JsonField* lat = FindField(fields, "lat");
-  const JsonField* lng = FindField(fields, "lng");
-  if (lng == nullptr) lng = FindField(fields, "lon");
+  const FlatJsonValue* id = fields.Find("id");
+  const FlatJsonValue* vector = fields.Find("vector");
+  const FlatJsonValue* lat = fields.Find("lat");
+  const FlatJsonValue* lng = fields.Find("lng");
+  if (lng == nullptr) lng = fields.Find("lon");
   const int selectors = (id != nullptr) + (vector != nullptr) +
                         (lat != nullptr || lng != nullptr);
   if (selectors != 1) {
@@ -312,7 +110,7 @@ ParsedLine ParseRequestLine(std::string_view line, int default_k) {
     return parsed;
   }
   if (vector != nullptr) {
-    if (vector->type != JsonField::Type::kNumberArray || vector->numbers.empty()) {
+    if (vector->type != Type::kNumberArray || vector->numbers.empty()) {
       return Invalid("\"vector\" must be a non-empty array of numbers");
     }
     parsed.request.kind = ServeRequest::Kind::kByVector;
@@ -322,8 +120,8 @@ ParsedLine ParseRequestLine(std::string_view line, int default_k) {
     }
     return parsed;
   }
-  if (lat == nullptr || lng == nullptr ||
-      lat->type != JsonField::Type::kNumber || lng->type != JsonField::Type::kNumber) {
+  if (lat == nullptr || lng == nullptr || lat->type != Type::kNumber ||
+      lng->type != Type::kNumber) {
     return Invalid("point query needs numeric \"lat\" and \"lng\"");
   }
   parsed.request.kind = ServeRequest::Kind::kByPoint;

@@ -17,10 +17,11 @@
 //    "neighbors":[{"id":3,"score":0.97},...]}
 //   {"seq":1,"ok":false,"error":"..."}
 //
-// The parser is a deliberately minimal flat-JSON reader (strings, numbers,
-// booleans, null, arrays of numbers — no nesting), matching the request
-// grammar above; the emitter reuses src/obs/json escaping/number formatting
-// so every output line is RFC 8259-valid (`sarn check-json --lines true`).
+// Requests are read by obs::ReadFlatJsonObject (strings, numbers, booleans,
+// null, arrays of numbers; no nesting) with the repo's one JSON grammar, so
+// every accepted line is RFC 8259-valid; this file adds only the field rules
+// above. The emitter reuses src/obs/json escaping/number formatting so every
+// output line is RFC 8259-valid too (`sarn check-json --lines true`).
 
 #ifndef SARN_SERVE_PROTOCOL_H_
 #define SARN_SERVE_PROTOCOL_H_

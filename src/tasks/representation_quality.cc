@@ -1,8 +1,6 @@
 #include "tasks/representation_quality.h"
 
-#include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "common/check.h"
 
@@ -65,44 +63,6 @@ double UniformityLoss(const tensor::Tensor& embeddings, int num_samples, uint64_
     sum += std::exp(-t * SquaredDistance(a, b));
   }
   return std::log(sum / num_samples);
-}
-
-double NeighborhoodStability(const tensor::Tensor& a, const tensor::Tensor& b,
-                             int k, IndexMetric metric) {
-  SARN_CHECK_EQ(a.rank(), 2);
-  SARN_CHECK_EQ(b.rank(), 2);
-  SARN_CHECK_EQ(a.shape()[0], b.shape()[0]);
-  int64_t n = a.shape()[0];
-  SARN_CHECK_GT(n, 1);
-  SARN_CHECK_GT(k, 0);
-
-  std::vector<IndexQuery> queries;
-  queries.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) queries.push_back(IndexQuery::ById(i));
-
-  EmbeddingIndex index_a(a, metric);
-  EmbeddingIndex index_b(b, metric);
-  std::vector<std::vector<Neighbor>> top_a = index_a.QueryBatch(queries, k);
-  std::vector<std::vector<Neighbor>> top_b = index_b.QueryBatch(queries, k);
-
-  double total = 0.0;
-  std::vector<int64_t> ids_a, ids_b;
-  for (int64_t i = 0; i < n; ++i) {
-    ids_a.clear();
-    ids_b.clear();
-    for (const Neighbor& nb : top_a[static_cast<size_t>(i)]) ids_a.push_back(nb.id);
-    for (const Neighbor& nb : top_b[static_cast<size_t>(i)]) ids_b.push_back(nb.id);
-    std::sort(ids_a.begin(), ids_a.end());
-    std::sort(ids_b.begin(), ids_b.end());
-    std::vector<int64_t> common;
-    std::set_intersection(ids_a.begin(), ids_a.end(), ids_b.begin(), ids_b.end(),
-                          std::back_inserter(common));
-    size_t unioned = ids_a.size() + ids_b.size() - common.size();
-    total += unioned == 0 ? 1.0
-                          : static_cast<double>(common.size()) /
-                                static_cast<double>(unioned);
-  }
-  return total / static_cast<double>(n);
 }
 
 }  // namespace sarn::tasks

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "tasks/embedding_index.h"
 #include "tensor/tensor.h"
 
 namespace sarn::tasks {
@@ -32,15 +31,6 @@ double AlignmentLoss(const tensor::Tensor& embeddings,
 /// (t = 2, the paper's [38] default). Deterministic given `seed`.
 double UniformityLoss(const tensor::Tensor& embeddings, int num_samples,
                       uint64_t seed, double t = 2.0);
-
-/// Mean Jaccard overlap of each row's top-k neighbor set between two
-/// embedding matrices of the same row count (e.g. before/after an extra
-/// training phase, or across two checkpoints): 1.0 when every row keeps
-/// exactly the same k nearest neighbors, ~k/n for unrelated embeddings.
-/// Both matrices are scanned with one batched EmbeddingIndex::QueryBatch
-/// call each, so the cost is two multi-query scans.
-double NeighborhoodStability(const tensor::Tensor& a, const tensor::Tensor& b,
-                             int k, IndexMetric metric = IndexMetric::kCosine);
 
 }  // namespace sarn::tasks
 

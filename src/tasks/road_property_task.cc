@@ -16,7 +16,7 @@ using tensor::Tensor;
 
 RoadPropertyTask::RoadPropertyTask(const roadnet::RoadNetwork& network,
                                    const RoadPropertyConfig& config)
-    : network_(&network), config_(config) {
+    : config_(config) {
   std::vector<int64_t> candidates;
   for (int64_t i = 0; i < network.num_segments(); ++i) {
     if (network.segment(i).speed_limit_kmh.has_value()) candidates.push_back(i);
@@ -40,15 +40,6 @@ RoadPropertyTask::RoadPropertyTask(const roadnet::RoadNetwork& network,
     labels_.push_back(class_of_speed_.at(*network.segment(id).speed_limit_kmh));
   }
   split_ = MakeSplit(static_cast<int64_t>(labeled_ids_.size()), config.seed + 1);
-}
-
-double RoadPropertyTask::TypeLabelNmi() const {
-  std::vector<int64_t> types;
-  types.reserve(labeled_ids_.size());
-  for (int64_t id : labeled_ids_) {
-    types.push_back(static_cast<int64_t>(network_->segment(id).type));
-  }
-  return NormalizedMutualInformation(types, labels_);
 }
 
 RoadPropertyResult RoadPropertyTask::Evaluate(const EmbeddingSource& source) const {

@@ -48,15 +48,10 @@ class RoadPropertyTask {
   /// and reports test metrics.
   RoadPropertyResult Evaluate(const EmbeddingSource& source) const;
 
-  /// NMI between road type and speed-limit class over labeled segments
-  /// (the paper's task-difficulty indicator, §5.2.1).
-  double TypeLabelNmi() const;
-
   int64_t num_classes() const { return static_cast<int64_t>(class_of_speed_.size()); }
   int64_t num_labeled() const { return static_cast<int64_t>(labeled_ids_.size()); }
 
  private:
-  const roadnet::RoadNetwork* network_;
   RoadPropertyConfig config_;
   std::vector<int64_t> labeled_ids_;
   std::vector<int64_t> labels_;  // Aligned with labeled_ids_.

@@ -43,10 +43,8 @@ class SpdTask {
 
   SpdResult Evaluate(const EmbeddingSource& source) const;
 
-  /// The sampled (origin, destination, meters) triples (tests/inspection).
-  const std::vector<std::tuple<int64_t, int64_t, double>>& train_pairs() const {
-    return train_pairs_;
-  }
+  /// The sampled held-out (origin, destination, meters) triples
+  /// (tests/inspection).
   const std::vector<std::tuple<int64_t, int64_t, double>>& test_pairs() const {
     return test_pairs_;
   }

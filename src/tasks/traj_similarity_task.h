@@ -68,7 +68,6 @@ class TrajectorySimilarityTask {
   /// metric (cached).
   double GroundTruthDistance(size_t a, size_t b) const;
 
-  size_t num_trajectories() const { return sequences_.size(); }
   const Split& split() const { return split_; }
 
  private:

@@ -139,12 +139,6 @@ Tensor UnaryOp(const Tensor& a, Fwd fwd, Df dfd) {
   });
 }
 
-Tensor Reciprocal(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return 1.0f / x; },
-      [](float, float out) { return -out * out; });
-}
-
 // Multiply-adds a parallel matmul chunk must hold. A region wakes the
 // parked workers, and the last of them starts ~10 µs after the notify at
 // the median and up to ~1 ms in the tail; a smaller chunk does not repay
@@ -190,16 +184,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
       [](float, float y, float) { return y; }, [](float x, float, float) { return x; });
 }
 
-Tensor Div(const Tensor& a, const Tensor& b) {
-  if (a.numel() >= b.numel()) {
-    return BinaryOp(
-        a, b, [](float x, float y) { return x / y; },
-        [](float, float y, float) { return 1.0f / y; },
-        [](float x, float y, float) { return -x / (y * y); });
-  }
-  return Mul(Reciprocal(b), a);
-}
-
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryOp(
       a, [s](float x) { return x + s; }, [](float, float) { return 1.0f; });
@@ -222,12 +206,6 @@ Tensor Log(const Tensor& a) {
       a, [](float x) { return std::log(x); }, [](float x, float) { return 1.0f / x; });
 }
 
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::sqrt(x); },
-      [](float, float out) { return out > 0 ? 0.5f / out : 0.0f; });
-}
-
 Tensor Square(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return x * x; }, [](float x, float) { return 2.0f * x; });
@@ -237,12 +215,6 @@ Tensor Abs(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::fabs(x); },
       [](float x, float) { return x > 0 ? 1.0f : (x < 0 ? -1.0f : 0.0f); });
-}
-
-Tensor ClampMin(const Tensor& a, float lo) {
-  return UnaryOp(
-      a, [lo](float x) { return x < lo ? lo : x; },
-      [lo](float x, float) { return x > lo ? 1.0f : 0.0f; });
 }
 
 Tensor Relu(const Tensor& a) {
@@ -462,12 +434,6 @@ Tensor SumAxis(const Tensor& a, int axis) {
       for (int64_t j = 0; j < rm.cols; ++j) ai->grad[rm.at(i, j)] += o.grad[i];
     }
   });
-}
-
-Tensor MeanAxis(const Tensor& a, int axis) {
-  int64_t count = axis == 0 ? a.shape()[0] : a.shape()[1];
-  SARN_CHECK_GT(count, 0);
-  return MulScalar(SumAxis(a, axis), 1.0f / static_cast<float>(count));
 }
 
 Tensor RowSoftmax(const Tensor& a) {
@@ -769,28 +735,6 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
                             }
                             col_offset += pn;
                           }
-                        }
-                      });
-}
-
-Tensor Dropout(const Tensor& a, float p, Rng& rng) {
-  SARN_CHECK(p >= 0.0f && p < 1.0f) << "p=" << p;
-  if (p == 0.0f) return a;
-  float keep = 1.0f - p;
-  float scale = 1.0f / keep;
-  Storage mask = Storage::Uninitialized(a.data().size());
-  Storage out = Storage::Uninitialized(a.data().size());
-  for (size_t i = 0; i < mask.size(); ++i) {
-    mask[i] = rng.Bernoulli(keep) ? scale : 0.0f;
-    out[i] = a.data()[i] * mask[i];
-  }
-  auto ai = a.impl();
-  return MakeOpResult(a.shape(), std::move(out), {a},
-                      [ai, mask = std::move(mask)](TensorImpl& o) {
-                        if (!ai->requires_grad) return;
-                        ai->EnsureGrad();
-                        for (size_t i = 0; i < o.grad.size(); ++i) {
-                          ai->grad[i] += o.grad[i] * mask[i];
                         }
                       });
 }

@@ -26,7 +26,6 @@ namespace sarn::tensor {
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 
 // --- Scalar variants ---------------------------------------------------------
 Tensor AddScalar(const Tensor& a, float s);
@@ -35,11 +34,9 @@ Tensor MulScalar(const Tensor& a, float s);
 // --- Elementwise unary -------------------------------------------------------
 Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);   // Caller guarantees positivity (see ClampMin).
-Tensor Sqrt(const Tensor& a);  // Caller guarantees non-negativity.
+Tensor Log(const Tensor& a);  // Caller guarantees positivity.
 Tensor Square(const Tensor& a);
 Tensor Abs(const Tensor& a);
-Tensor ClampMin(const Tensor& a, float lo);
 Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.2f);
 Tensor Elu(const Tensor& a, float alpha = 1.0f);
@@ -61,7 +58,6 @@ Tensor Reshape(const Tensor& a, const Shape& shape);
 Tensor Sum(const Tensor& a);                  // -> scalar [1]
 Tensor Mean(const Tensor& a);                 // -> scalar [1]
 Tensor SumAxis(const Tensor& a, int axis);    // 2-D only; axis 0 -> [n], 1 -> [m]
-Tensor MeanAxis(const Tensor& a, int axis);
 
 // --- Row-structured ops (2-D) --------------------------------------------------
 /// Numerically stable softmax along axis 1.
@@ -89,11 +85,6 @@ Tensor TakePerRow(const Tensor& a, const std::vector<int64_t>& cols);
 Tensor ColsRange(const Tensor& a, int64_t col, int64_t count);
 /// Concatenation of 2-D tensors along axis 0 (rows) or 1 (columns).
 Tensor Concat(const std::vector<Tensor>& parts, int axis);
-
-// --- Regularisation ------------------------------------------------------------
-/// Inverted dropout: keeps each element with probability (1-p), scales by
-/// 1/(1-p). Identity when p == 0. Caller decides train vs eval.
-Tensor Dropout(const Tensor& a, float p, Rng& rng);
 
 // --- Sparse graph ops ------------------------------------------------------------
 /// Softmax of per-edge scores grouped by destination vertex:

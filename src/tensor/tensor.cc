@@ -107,11 +107,6 @@ const Storage& Tensor::grad() const {
   return impl_->grad;
 }
 
-Storage& Tensor::mutable_grad() {
-  impl_->EnsureGrad();
-  return impl_->grad;
-}
-
 float Tensor::item() const {
   SARN_CHECK_EQ(numel(), 1);
   return impl_->data[0];

@@ -124,7 +124,6 @@ class Tensor {
   Storage& mutable_data() { return impl_->data; }
   /// Gradient buffer (zeros if backward has not reached this tensor).
   const Storage& grad() const;
-  Storage& mutable_grad();
 
   float item() const;                       // Requires numel() == 1.
   float at(int64_t i) const;                // Rank-1 access.

@@ -1,6 +1,6 @@
 #include "traj/trajectory.h"
 
-#include "common/check.h"
+#include <algorithm>
 
 namespace sarn::traj {
 
@@ -10,22 +10,6 @@ double Trajectory::LengthMeters() const {
     total += geo::HaversineMeters(points[i - 1].position, points[i].position);
   }
   return total;
-}
-
-std::vector<Trajectory> SplitOnTimeGap(const Trajectory& trajectory, double max_gap_s) {
-  SARN_CHECK_GT(max_gap_s, 0.0);
-  std::vector<Trajectory> pieces;
-  Trajectory current;
-  for (const GpsPoint& p : trajectory.points) {
-    if (!current.points.empty() &&
-        p.timestamp_s - current.points.back().timestamp_s > max_gap_s) {
-      if (current.points.size() >= 2) pieces.push_back(std::move(current));
-      current = Trajectory{};
-    }
-    current.points.push_back(p);
-  }
-  if (current.points.size() >= 2) pieces.push_back(std::move(current));
-  return pieces;
 }
 
 MatchedTrajectory TruncateSegments(const MatchedTrajectory& matched,

@@ -1,5 +1,5 @@
-// Trajectory data model and preprocessing utilities (paper §5.1: split on
-// 20-minute gaps, map-match, truncate to a maximum number of segments).
+// Trajectory data model and preprocessing utilities (paper §5.1: map-match,
+// truncate to a maximum number of segments).
 
 #ifndef SARN_TRAJ_TRAJECTORY_H_
 #define SARN_TRAJ_TRAJECTORY_H_
@@ -24,9 +24,6 @@ struct Trajectory {
 
   bool empty() const { return points.empty(); }
   size_t size() const { return points.size(); }
-  double DurationSeconds() const {
-    return points.empty() ? 0.0 : points.back().timestamp_s - points.front().timestamp_s;
-  }
   /// Sum of consecutive haversine hops, meters.
   double LengthMeters() const;
 };
@@ -38,10 +35,6 @@ struct MatchedTrajectory {
   bool empty() const { return segments.empty(); }
   size_t size() const { return segments.size(); }
 };
-
-/// Splits a trajectory wherever the time gap between adjacent points exceeds
-/// `max_gap_s` (paper: 20 minutes). Pieces with < 2 points are discarded.
-std::vector<Trajectory> SplitOnTimeGap(const Trajectory& trajectory, double max_gap_s);
 
 /// Keeps only the first `max_segments` segments (paper: 60 by default,
 /// swept to 180 in Table 7).

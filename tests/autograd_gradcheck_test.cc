@@ -82,25 +82,17 @@ std::vector<OpCase> MakeCases() {
   add("SubSmallerLeft", [](const auto& in) { return Sub(in[0], in[1]); }, {{1}, {5}});
   add("Mul", [](const auto& in) { return Mul(in[0], in[1]); }, {{3, 4}, {3, 4}});
   add("MulRowBroadcast", [](const auto& in) { return Mul(in[0], in[1]); }, {{3, 4}, {4}});
-  add("Div", [](const auto& in) { return Div(in[0], in[1]); }, {{3, 4}, {3, 4}}, true);
-  add("DivRowBroadcast", [](const auto& in) { return Div(in[0], in[1]); }, {{3, 4}, {4}},
-      true);
-  add("DivSmallerLeft", [](const auto& in) { return Div(in[0], in[1]); }, {{1}, {5}},
-      true);
   add("AddScalar", [](const auto& in) { return AddScalar(in[0], 2.5f); }, {{3, 3}});
   add("MulScalar", [](const auto& in) { return MulScalar(in[0], -1.7f); }, {{3, 3}});
   add("Neg", [](const auto& in) { return Neg(in[0]); }, {{4}});
   add("Exp", [](const auto& in) { return Exp(in[0]); }, {{3, 3}});
   add("Log", [](const auto& in) { return Log(in[0]); }, {{3, 3}}, true);
-  add("Sqrt", [](const auto& in) { return Sqrt(in[0]); }, {{3, 3}}, true);
   add("Square", [](const auto& in) { return Square(in[0]); }, {{3, 3}});
   add("Relu", [](const auto& in) { return Relu(in[0]); }, {{4, 4}});
   add("LeakyRelu", [](const auto& in) { return LeakyRelu(in[0], 0.2f); }, {{4, 4}});
   add("Elu", [](const auto& in) { return Elu(in[0]); }, {{4, 4}});
   add("Sigmoid", [](const auto& in) { return Sigmoid(in[0]); }, {{4, 4}});
   add("Tanh", [](const auto& in) { return Tanh(in[0]); }, {{4, 4}});
-  add("ClampMinPositive", [](const auto& in) { return ClampMin(in[0], 0.01f); }, {{4}},
-      true);
   add("MatMul", [](const auto& in) { return MatMul(in[0], in[1]); }, {{3, 4}, {4, 2}});
   add("MatMulTall", [](const auto& in) { return MatMul(in[0], in[1]); }, {{5, 2}, {2, 5}});
   add("Transpose", [](const auto& in) { return Transpose(in[0]); }, {{3, 5}});
@@ -109,8 +101,6 @@ std::vector<OpCase> MakeCases() {
   add("Mean", [](const auto& in) { return Mean(in[0]); }, {{3, 4}});
   add("SumAxis0", [](const auto& in) { return SumAxis(in[0], 0); }, {{3, 4}});
   add("SumAxis1", [](const auto& in) { return SumAxis(in[0], 1); }, {{3, 4}});
-  add("MeanAxis0", [](const auto& in) { return MeanAxis(in[0], 0); }, {{3, 4}});
-  add("MeanAxis1", [](const auto& in) { return MeanAxis(in[0], 1); }, {{3, 4}});
   add("RowSoftmax", [](const auto& in) { return RowSoftmax(in[0]); }, {{3, 5}});
   add("RowLogSoftmax", [](const auto& in) { return RowLogSoftmax(in[0]); }, {{3, 5}});
   add("RowL2Normalize", [](const auto& in) { return RowL2Normalize(in[0]); }, {{3, 4}},

@@ -78,27 +78,6 @@ TEST_F(BaselinesTest, Node2VecProducesTopologyAwareEmbeddings) {
   EXPECT_GT(adjacent / count, random / 300 + 0.1);
 }
 
-TEST_F(BaselinesTest, DeepWalkIsUniformNode2Vec) {
-  Node2VecConfig config;
-  config.dim = 16;
-  config.walk.walk_length = 15;
-  config.walk.walks_per_vertex = 2;
-  config.walk.p = 4.0;  // Ignored by DeepWalk.
-  config.walk.q = 0.25;
-  config.epochs = 1;
-  tensor::Tensor deepwalk = TrainDeepWalk(*network_, config);
-  EXPECT_EQ(deepwalk.shape()[0], network_->num_segments());
-  // DeepWalk must equal node2vec at p = q = 1 with the same seed.
-  Node2VecConfig uniform = config;
-  uniform.walk.p = 1.0;
-  uniform.walk.q = 1.0;
-  tensor::Tensor reference = TrainNode2Vec(*network_, uniform);
-  for (int64_t i = 0; i < 64; ++i) {
-    ASSERT_FLOAT_EQ(deepwalk.data()[static_cast<size_t>(i)],
-                    reference.data()[static_cast<size_t>(i)]);
-  }
-}
-
 TEST_F(BaselinesTest, GraphClFeatureMaskingStillLearns) {
   GraphClConfig config;
   config.hidden_dim = 16;

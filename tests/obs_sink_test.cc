@@ -1,9 +1,12 @@
-// Tests for the JSON validator and the JSONL metrics sink: record
+// Tests for the JSON validator, the flat-object reader, and the JSONL metrics
+// sink: record
 // serialisation, file append semantics (checkpoint-resume continuity), and
 // checkpoint lifecycle events.
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -74,6 +77,78 @@ TEST(JsonValidatorTest, EscapeAndNumberHelpers) {
   EXPECT_EQ(JsonNumber(0.5), "0.5");
   EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(JsonNumber(std::nan("")), "null");
+}
+
+TEST(FlatJsonObjectTest, ReadsEveryValueType) {
+  FlatJsonObject object;
+  std::string error;
+  ASSERT_TRUE(ReadFlatJsonObject(
+      R"( {"s":"a\nb","n":-2.5e1,"t":true,"f":false,"z":null,"v":[1, 0.5],"e":[]} )",
+      &object, &error))
+      << error;
+  ASSERT_EQ(object.members.size(), 7u);
+  EXPECT_EQ(object.Find("s")->type, FlatJsonValue::Type::kString);
+  EXPECT_EQ(object.Find("s")->text, "a\nb");
+  EXPECT_EQ(object.Find("n")->number, -25.0);
+  EXPECT_TRUE(object.Find("t")->boolean);
+  EXPECT_EQ(object.Find("f")->type, FlatJsonValue::Type::kBool);
+  EXPECT_FALSE(object.Find("f")->boolean);
+  EXPECT_EQ(object.Find("z")->type, FlatJsonValue::Type::kNull);
+  EXPECT_EQ(object.Find("v")->numbers, (std::vector<double>{1.0, 0.5}));
+  EXPECT_EQ(object.Find("e")->type, FlatJsonValue::Type::kNumberArray);
+  EXPECT_TRUE(object.Find("e")->numbers.empty());
+  EXPECT_EQ(object.Find("missing"), nullptr);
+  ASSERT_TRUE(ReadFlatJsonObject("{}", &object));
+  EXPECT_TRUE(object.members.empty());
+}
+
+TEST(FlatJsonObjectTest, RepeatedNameKeepsLastValue) {
+  FlatJsonObject object;
+  ASSERT_TRUE(ReadFlatJsonObject(R"({"k":1,"k":2})", &object));
+  EXPECT_EQ(object.Find("k")->number, 2.0);
+}
+
+TEST(FlatJsonObjectTest, RejectsNestingAndWhatJsonValidRejects) {
+  for (const char* text :
+       {"", "[1]", "\"s\"", R"({"a":{"b":1}})", R"({"a":[[1]]})", R"({"a":["x"]})",
+        R"({"a":[true]})", R"({"a":01})", R"({"a":+1})", R"({"a":.5})",
+        R"({"a":1.})", R"({"a":1e})", R"({"a":"\q"})", R"({"a":1} x)",
+        R"({"a":1,})", R"({"a" 1})", "{\"a\":\"\x01\"}", R"({"a":1e999})",
+        R"({"a":-1e999})"}) {
+    FlatJsonObject object;
+    std::string error;
+    EXPECT_FALSE(ReadFlatJsonObject(text, &object, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+// Numbers convert with std::from_chars, which rounds correctly as strtod
+// does: both give the same bits, an underflow included.
+TEST(FlatJsonObjectTest, NumbersMatchStrtodBitForBit) {
+  for (const char* number :
+       {"0", "-0", "0.1", "104.06", "-3.0000000000000004", "1.7976931348623157e308",
+        "4.9406564584124654e-324", "2.4703282292062328e-324", "1e-400", "-1e-400",
+        "123456789012345678901234567890", "0.012345678900000001"}) {
+    FlatJsonObject object;
+    const std::string text = std::string("{\"x\":") + number + "}";
+    ASSERT_TRUE(ReadFlatJsonObject(text, &object)) << number;
+    const double expected = std::strtod(number, nullptr);
+    EXPECT_EQ(std::memcmp(&object.Find("x")->number, &expected, sizeof(double)), 0)
+        << number;
+  }
+}
+
+TEST(FlatJsonObjectTest, DecodesUnicodeEscapesToUtf8) {
+  FlatJsonObject object;
+  ASSERT_TRUE(ReadFlatJsonObject(
+      R"({"a":"\u0041\/","b":"\u00e9\u20AC","c":"\ud83d\ude00","d":"\ud83dx"})",
+      &object));
+  EXPECT_EQ(object.Find("a")->text, "A/");
+  EXPECT_FALSE(object.Find("a")->non_ascii_escape);
+  EXPECT_EQ(object.Find("b")->text, "\xC3\xA9\xE2\x82\xAC");
+  EXPECT_TRUE(object.Find("b")->non_ascii_escape);
+  EXPECT_EQ(object.Find("c")->text, "\xF0\x9F\x98\x80");  // A surrogate pair.
+  EXPECT_EQ(object.Find("d")->text, "\xEF\xBF\xBDx");     // A lone half: U+FFFD.
 }
 
 TEST(EpochRecordJsonTest, SerialisesAllSections) {

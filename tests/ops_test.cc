@@ -55,11 +55,10 @@ TEST(OpsTest, AddScalarBroadcastEitherSide) {
   ExpectTensorNear(Add(s, a), {101, 102, 103});
 }
 
-TEST(OpsTest, SubAndDiv) {
+TEST(OpsTest, SubElementwise) {
   Tensor a = Tensor::FromVector({2}, {6, 9});
   Tensor b = Tensor::FromVector({2}, {2, 3});
   ExpectTensorNear(Sub(a, b), {4, 6});
-  ExpectTensorNear(Div(a, b), {3, 3});
 }
 
 TEST(OpsTest, SubWithSmallerLeftOperand) {
@@ -81,12 +80,10 @@ TEST(OpsTest, UnaryFunctions) {
   ExpectTensorNear(Relu(a), {0, 0, 0.5, 2});
   ExpectTensorNear(LeakyRelu(a, 0.1f), {-0.2f, -0.05f, 0.5f, 2.0f});
   ExpectTensorNear(Square(a), {4, 0.25, 0.25, 4});
-  ExpectTensorNear(ClampMin(a, 0.0f), {0, 0, 0.5, 2});
 }
 
-TEST(OpsTest, ExpLogSqrt) {
+TEST(OpsTest, ExpLog) {
   Tensor a = Tensor::FromVector({3}, {1, 4, 9});
-  ExpectTensorNear(Sqrt(a), {1, 2, 3});
   ExpectTensorNear(Log(a), {0.0f, std::log(4.0f), std::log(9.0f)});
   Tensor b = Tensor::FromVector({2}, {0, 1});
   ExpectTensorNear(Exp(b), {1.0f, std::exp(1.0f)});
@@ -570,8 +567,6 @@ TEST(OpsTest, Reductions) {
   EXPECT_FLOAT_EQ(Mean(a).item(), 3.5f);
   ExpectTensorNear(SumAxis(a, 0), {5, 7, 9});
   ExpectTensorNear(SumAxis(a, 1), {6, 15});
-  ExpectTensorNear(MeanAxis(a, 0), {2.5, 3.5, 4.5});
-  ExpectTensorNear(MeanAxis(a, 1), {2, 5});
 }
 
 TEST(OpsTest, RowSoftmaxRowsSumToOne) {
@@ -663,31 +658,6 @@ TEST(OpsTest, ConcatAxis1) {
   Tensor c = Concat({a, b}, 1);
   EXPECT_EQ(c.shape(), (Shape{2, 3}));
   ExpectTensorNear(c, {1, 3, 4, 2, 5, 6});
-}
-
-TEST(OpsTest, DropoutZeroPIsIdentity) {
-  Rng rng(1);
-  Tensor a = Tensor::FromVector({4}, {1, 2, 3, 4});
-  Tensor d = Dropout(a, 0.0f, rng);
-  ExpectTensorNear(d, {1, 2, 3, 4});
-}
-
-TEST(OpsTest, DropoutKeepsExpectationAndMasks) {
-  Rng rng(2);
-  Tensor a = Tensor::Ones({10000});
-  Tensor d = Dropout(a, 0.4f, rng);
-  int zeros = 0;
-  double sum = 0.0;
-  for (float v : d.data()) {
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(v, 1.0f / 0.6f, 1e-5f);
-    }
-    sum += v;
-  }
-  EXPECT_NEAR(zeros / 10000.0, 0.4, 0.03);
-  EXPECT_NEAR(sum / 10000.0, 1.0, 0.05);  // Inverted dropout preserves E[x].
 }
 
 TEST(OpsTest, EdgeSoftmaxGroupsSumToOne) {

@@ -195,16 +195,5 @@ TEST(RngTest, LoadStateRejectsTruncatedInput) {
   EXPECT_FALSE(other.LoadState(reader));
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(41);
-  Rng child = parent.Fork();
-  // The child stream should not mirror the parent stream.
-  int same = 0;
-  for (int i = 0; i < 20; ++i) {
-    if (parent.UniformInt(0, 1 << 30) == child.UniformInt(0, 1 << 30)) ++same;
-  }
-  EXPECT_LT(same, 3);
-}
-
 }  // namespace
 }  // namespace sarn

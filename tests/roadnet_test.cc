@@ -292,5 +292,31 @@ TEST(IoTest, LoadMissingFileFails) {
   EXPECT_FALSE(LoadRoadNetworkCsv("/nonexistent/net.csv").has_value());
 }
 
+// A coordinate that is not a finite point on the globe makes the row
+// malformed, so the whole load fails instead of feeding NaN to the grid.
+TEST(IoTest, LoadRejectsNonFiniteAndOffGlobeCoordinates) {
+  const std::string path = testing::TempDir() + "/sarn_roadnet_bad_coord.csv";
+  const char* header =
+      "from_node,to_node,type,speed_limit,start_lat,start_lng,end_lat,end_lng\n";
+  const char* good_row = "0,1,residential,30,30.0,104.0,30.001,104.0\n";
+  auto load = [&](const std::string& row) {
+    std::FILE* file = std::fopen(path.c_str(), "w");
+    EXPECT_NE(file, nullptr);
+    std::fputs(header, file);
+    std::fputs(good_row, file);
+    std::fputs(row.c_str(), file);
+    std::fclose(file);
+    return LoadRoadNetworkCsv(path);
+  };
+  EXPECT_TRUE(load("1,2,residential,30,30.001,104.0,30.002,104.0\n").has_value());
+  for (const char* row : {"1,2,residential,30,nan,104.0,30.002,104.0\n",
+                          "1,2,residential,30,30.001,inf,30.002,104.0\n",
+                          "1,2,residential,30,30.001,104.0,91,104.0\n",
+                          "1,2,residential,30,30.001,104.0,30.002,-180.5\n"}) {
+    EXPECT_FALSE(load(row).has_value()) << row;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace sarn::roadnet

@@ -88,11 +88,38 @@ TEST(ServeProtocolTest, RejectsMalformedLines) {
       R"({"vector":[]})",                        // Empty vector.
       R"({"vector":["x"]})",                     // Non-numeric vector.
       R"({"id":1)",                              // Unterminated object.
+      R"({"id":+5})",                            // JSON has no leading '+',
+      R"({"id":05})",                            // ... no leading zero,
+      R"({"vector":[.5]})",                      // ... no bare fraction
+      R"({"vector":[1.]})",                      // ... and no empty one.
+      R"({"vector":[1e999]})",                   // Beyond double range.
   };
   for (const char* line : bad) {
     ParsedLine parsed = Parse(line);
     EXPECT_EQ(parsed.op, ParsedLine::Op::kInvalid) << "'" << line << "'";
     EXPECT_FALSE(parsed.error.empty()) << "'" << line << "'";
+  }
+}
+
+// Requests are read with obs/json's grammar, so every line this file's tests
+// accept is valid JSON too.
+TEST(ServeProtocolTest, AcceptedLinesAreValidJson) {
+  for (const char* line : {
+           R"({"id":12})",
+           R"({"op":"query","id":0,"k":3})",
+           R"({"vector":[1.5,-2,3e-1],"k":2})",
+           R"({"lat":30.65,"lng":104.06})",
+           R"({"lat":30.65,"lon":104.06})",
+           R"({"op":"stats"})",
+           R"({"op":"statsz"})",
+           R"({"op":"reload","embeddings":"new emb.csv"})",
+           R"({"op":"reload","embeddings":"a\tb\u0041\"c"})",
+           R"({"op":"reload","embeddings":"\u0041.csv"})",
+           R"({"id":1e-400,"k":2E+0})",
+       }) {
+    ASSERT_NE(Parse(line).op, ParsedLine::Op::kInvalid) << line;
+    std::string json_error;
+    EXPECT_TRUE(obs::JsonValid(line, &json_error)) << line << ": " << json_error;
   }
 }
 

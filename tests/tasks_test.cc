@@ -68,7 +68,6 @@ TEST_F(TasksTest, RoadPropertyMetricsInRangeAndBeatRandomEmbeddings) {
   config.epochs = 80;
   RoadPropertyTask task(*network_, config);
   EXPECT_GE(task.num_classes(), 2);
-  EXPECT_GT(task.TypeLabelNmi(), 0.3);
 
   FrozenEmbeddingSource sarn_source(sarn_->Embeddings());
   RoadPropertyResult sarn_result = task.Evaluate(sarn_source);

@@ -85,25 +85,6 @@ TEST_F(FrechetTest, ReversedCurveIsFar) {
   EXPECT_GT(DiscreteFrechet(a, b), 900.0);
 }
 
-TEST(TrajectoryTest, SplitOnTimeGap) {
-  Trajectory t;
-  for (int i = 0; i < 5; ++i) t.points.push_back({{30.0, 104.0}, i * 10.0});
-  t.points.push_back({{30.0, 104.0}, 2000.0});  // 20+ min gap.
-  t.points.push_back({{30.0, 104.0}, 2010.0});
-  auto pieces = SplitOnTimeGap(t, 1200.0);
-  ASSERT_EQ(pieces.size(), 2u);
-  EXPECT_EQ(pieces[0].size(), 5u);
-  EXPECT_EQ(pieces[1].size(), 2u);
-}
-
-TEST(TrajectoryTest, SplitDiscardsSingletons) {
-  Trajectory t;
-  t.points.push_back({{30.0, 104.0}, 0.0});
-  t.points.push_back({{30.0, 104.0}, 5000.0});
-  auto pieces = SplitOnTimeGap(t, 1200.0);
-  EXPECT_TRUE(pieces.empty());
-}
-
 TEST(TrajectoryTest, TruncateSegments) {
   MatchedTrajectory m;
   for (int i = 0; i < 100; ++i) m.segments.push_back(i);

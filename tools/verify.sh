@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification:
-#   1. tier-1: full Release build + the whole ctest suite;
+#   1. tier-1: full Release build + the whole ctest suite; the build treats
+#      compiler warnings as errors (CMAKE_COMPILE_WARNING_AS_ERROR, CMake
+#      >= 3.24), so a new warning fails verification instead of scrolling by;
 #   2. the checkpoint/resume suite (ctest -L checkpoint) run on its own, so a
 #      resume-determinism or corrupt-file-handling regression is reported by
 #      name even when something earlier in the suite also fails;
@@ -73,7 +75,7 @@ jobs="$(nproc)"
 mode="${1:-all}"
 
 if [[ "$mode" != "--tsan-only" ]]; then
-  cmake -B build -S . > /dev/null
+  cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON > /dev/null
   cmake --build build -j"$jobs"
   (cd build && ctest --output-on-failure -j"$jobs")
   # Fault-injection + bitwise resume-determinism tests, isolated for clarity.
