@@ -1,6 +1,7 @@
 #include "core/sarn_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <utility>
@@ -272,13 +273,22 @@ ModelLoadResult SarnModel::LoadEmbeddingsCsv(const std::string& path) {
                           std::to_string(row.size()) + " cells, expected " +
                           std::to_string(d));
     }
-    for (const std::string& cell : row) {
-      auto value = ParseDouble(cell);
+    for (size_t j = 0; j < row.size(); ++j) {
+      auto value = ParseDouble(row[j]);
       if (!value.has_value()) {
         return LoadFail(ModelLoadError::kParseError,
-                        path + ": non-numeric cell \"" + cell + "\"");
+                        path + ": non-numeric cell \"" + row[j] + "\"");
       }
-      data.push_back(static_cast<float>(*value));
+      // nan, inf and values past float range (1e39 casts to inf) would
+      // score as NaN against every query.
+      const float cell = static_cast<float>(*value);
+      if (!std::isfinite(cell)) {
+        return LoadFail(ModelLoadError::kParseError,
+                        path + ": row " + std::to_string(i) + " column " +
+                            std::to_string(j) + " is not a finite float (\"" +
+                            row[j] + "\")");
+      }
+      data.push_back(cell);
     }
   }
   ModelLoadResult result;

@@ -97,7 +97,8 @@ struct TrainOptions {
 enum class ModelLoadError {
   kOk = 0,
   kFileNotFound,          // Missing or unreadable path.
-  kParseError,            // Unparsable CSV (ragged rows, non-numeric cells).
+  kParseError,            // Unparsable CSV (ragged rows, non-numeric or
+                          // non-finite cells).
   kArchitectureMismatch,  // Checkpoint does not fit the requested config.
   kVariantMismatch,       // Checkpoint was written by a different encoder/
                           // augmentation/negatives combo (the message names
@@ -126,7 +127,8 @@ class SarnModel {
   /// registered (checked); unknown names abort with the available set.
   SarnModel(const roadnet::RoadNetwork& network, SarnConfig config);
 
-  /// Reads a headerless n x d CSV of embedding rows.
+  /// Reads a headerless n x d CSV of embedding rows; every cell must be a
+  /// finite float (kParseError names the first row and column that is not).
   static ModelLoadResult LoadEmbeddingsCsv(const std::string& path);
 
   /// Rebuilds the architecture of `config` over `network`, restores its

@@ -12,10 +12,15 @@
 // for "lng".
 //
 // Responses, one JSON object per line on stdout, tagged with the 0-based
-// input line sequence number and (for queries) the snapshot epoch:
+// sequence number of the non-blank input line and (for queries and
+// reloads) the snapshot epoch:
 //   {"seq":0,"ok":true,"epoch":1,"cache":false,"id":12,
 //    "neighbors":[{"id":3,"score":0.97},...]}
 //   {"seq":1,"ok":false,"error":"..."}
+//   {"seq":2,"ok":true,"epoch":2}                    reload published
+// Replies come in seq order, each flushed as soon as it and every earlier
+// one are ready; stats/statsz cover exactly the lines before them. The
+// session that does this is serve/session.h.
 //
 // Requests are read by obs::ReadFlatJsonObject (strings, numbers, booleans,
 // null, arrays of numbers; no nesting) with the repo's one JSON grammar, so

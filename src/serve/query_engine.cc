@@ -123,12 +123,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const tasks::EmbeddingIndex> index,
 
 QueryEngine::~QueryEngine() {
   {
-    // Loaders first: a PublishAsync still in flight must finish (and maybe
-    // publish) before the snapshot and cache are torn down.
-    std::lock_guard<std::mutex> lock(loaders_mu_);
-    for (std::thread& loader : loaders_) loader.join();
-  }
-  {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stop_ = true;
   }
@@ -162,21 +156,6 @@ uint64_t QueryEngine::Publish(std::shared_ptr<const tasks::EmbeddingIndex> index
   ServeMetrics::Get().epoch.Set(static_cast<double>(published_epoch));
   ServeMetrics::Get().index_bytes.Set(static_cast<double>(index_bytes));
   return published_epoch;
-}
-
-std::future<uint64_t> QueryEngine::PublishAsync(
-    std::function<std::shared_ptr<const tasks::EmbeddingIndex>()> loader) {
-  SARN_CHECK(loader != nullptr);
-  auto task = std::make_shared<std::packaged_task<uint64_t()>>(
-      [this, loader = std::move(loader)]() -> uint64_t {
-        std::shared_ptr<const tasks::EmbeddingIndex> index = loader();
-        if (index == nullptr) return 0;
-        return Publish(std::move(index));
-      });
-  std::future<uint64_t> future = task->get_future();
-  std::lock_guard<std::mutex> lock(loaders_mu_);
-  loaders_.emplace_back([task] { (*task)(); });
-  return future;
 }
 
 std::future<ServeResponse> QueryEngine::Submit(ServeRequest request) {

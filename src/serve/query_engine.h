@@ -38,7 +38,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -178,16 +177,6 @@ class QueryEngine {
   /// the epoch the snapshot was published as.
   uint64_t Publish(std::shared_ptr<const tasks::EmbeddingIndex> index);
 
-  /// Runs `loader` on a background thread and Publish()es whatever non-null
-  /// index it returns — the hot-swap path for expensive loads (CSV re-parse,
-  /// snapshot mmap + validation). Serving is never paused: workers keep
-  /// draining batches on the old snapshot the whole time, and in-flight
-  /// futures resolve at their usual latency. The returned future yields the
-  /// new epoch, or 0 when the loader returned null (load failed; the old
-  /// snapshot stays live). Loader threads are joined by the destructor.
-  std::future<uint64_t> PublishAsync(
-      std::function<std::shared_ptr<const tasks::EmbeddingIndex>()> loader);
-
   uint64_t epoch() const;
   ServeStats Stats() const;
   /// Per-stage latency breakdown + traced-request dump for statsz.
@@ -227,11 +216,6 @@ class QueryEngine {
   std::deque<Pending> queue_;
   bool stop_ = false;
   std::vector<std::thread> workers_;
-
-  // Background PublishAsync loader threads; joined first in the destructor
-  // so a late Publish never lands on a dead engine.
-  std::mutex loaders_mu_;
-  std::vector<std::thread> loaders_;
 
   // Per-engine statistics (Stats()); the process-global obs registry is
   // updated alongside under sarn.serve.* names.

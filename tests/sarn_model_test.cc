@@ -8,6 +8,8 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -460,6 +462,54 @@ TEST_F(SarnModelTest, EarlyStoppingBoundsEpochs) {
   TrainStats stats = model.Train();
   EXPECT_LE(stats.epochs_run, 50);
   EXPECT_EQ(stats.epoch_losses.size(), static_cast<size_t>(stats.epochs_run));
+}
+
+// The embeddings CSV loader behind serve, reload, eval, export and snapshot
+// save: a typed error for every bad file, never a row that scores as NaN.
+TEST(LoadEmbeddingsCsvTest, ReadsRowsAndTypesEveryBadFile) {
+  const std::string dir = testing::TempDir() + "/load_embeddings_csv";
+  std::filesystem::create_directories(dir);
+  auto write = [&dir](const std::string& name, const std::string& text) {
+    const std::string path = dir + "/" + name;
+    std::ofstream(path) << text;
+    return path;
+  };
+
+  ModelLoadResult good =
+      SarnModel::LoadEmbeddingsCsv(write("good.csv", "1,-2.5\n0.25,4e3\n"));
+  ASSERT_TRUE(good.ok()) << good.message;
+  ASSERT_EQ(good.embeddings.shape(), (std::vector<int64_t>{2, 2}));
+  EXPECT_EQ(good.embeddings.at(0, 1), -2.5f);
+  EXPECT_EQ(good.embeddings.at(1, 1), 4000.0f);
+
+  const struct {
+    std::string name;
+    std::string text;  // Empty: the file is not written.
+    ModelLoadError error;
+    std::string message;
+  } cases[] = {
+      {"missing.csv", "", ModelLoadError::kFileNotFound, "cannot open"},
+      {"ragged.csv", "1,2,3\n4,5\n", ModelLoadError::kParseError,
+       "row 1 has 2 cells, expected 3"},
+      {"word.csv", "1,2\n3,abc\n", ModelLoadError::kParseError,
+       "non-numeric cell \"abc\""},
+      {"nan.csv", "1,2\n3,nan\n", ModelLoadError::kParseError,
+       "row 1 column 1 is not a finite float"},
+      {"inf.csv", "inf,2\n3,4\n", ModelLoadError::kParseError,
+       "row 0 column 0 is not a finite float"},
+      // Finite as a double, inf once cast to float.
+      {"overflow.csv", "1,2\n3,4\n5,1e39\n", ModelLoadError::kParseError,
+       "row 2 column 1 is not a finite float"},
+  };
+  for (const auto& c : cases) {
+    const std::string path =
+        c.text.empty() ? dir + "/" + c.name : write(c.name, c.text);
+    ModelLoadResult result = SarnModel::LoadEmbeddingsCsv(path);
+    EXPECT_EQ(result.error, c.error) << c.name << ": " << result.message;
+    EXPECT_NE(result.message.find(c.message), std::string::npos)
+        << c.name << ": " << result.message;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

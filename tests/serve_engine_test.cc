@@ -211,12 +211,11 @@ TEST(QueryEngineTest, DestructorDrainsPendingFutures) {
   }
 }
 
-// The async-reload contract: PublishAsync runs the (expensive) loader off
-// the serving path, so in-flight queries keep flowing at the old epoch for
-// the entire duration of the load — pinned here by stalling the loader on a
-// gate while queries complete. A loader that fails (returns null) resolves
-// the future to 0 and leaves the live snapshot untouched.
-TEST(QueryEngineTest, PublishAsyncReloadNeverBlocksServing) {
+// The reload contract: a reload loads its index on a loader thread and then
+// Publish()es it, so in-flight queries keep flowing at the old epoch for the
+// entire duration of the load — pinned here by stalling the loader on a gate
+// while queries complete.
+TEST(QueryEngineTest, PublishFromALoaderThreadNeverBlocksServing) {
   auto old_index = MakeIndex(11);
   auto new_index = MakeIndex(12);
   ServeOptions options;
@@ -227,11 +226,11 @@ TEST(QueryEngineTest, PublishAsyncReloadNeverBlocksServing) {
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
   std::atomic<bool> loader_entered{false};
-  std::future<uint64_t> published = engine.PublishAsync(
-      [&]() -> std::shared_ptr<const EmbeddingIndex> {
+  std::future<uint64_t> published =
+      std::async(std::launch::async, [&]() -> uint64_t {
         loader_entered = true;
         gate.wait();  // Simulates a slow parse / cold mmap load.
-        return new_index;
+        return engine.Publish(new_index);
       });
 
   while (!loader_entered.load()) std::this_thread::yield();
@@ -254,27 +253,6 @@ TEST(QueryEngineTest, PublishAsyncReloadNeverBlocksServing) {
   ASSERT_TRUE(after.ok);
   EXPECT_EQ(after.epoch, 2u);
   ExpectSameNeighbors(after.neighbors, new_index->QueryById(3, 5));
-
-  std::future<uint64_t> failed = engine.PublishAsync(
-      []() -> std::shared_ptr<const EmbeddingIndex> { return nullptr; });
-  EXPECT_EQ(failed.get(), 0u);
-  EXPECT_EQ(engine.epoch(), 2u);  // A failed reload changes nothing.
-}
-
-// A PublishAsync still in flight when the engine is destroyed must complete
-// (the destructor joins loader threads before tearing down the snapshot).
-TEST(QueryEngineTest, DestructorJoinsInFlightAsyncPublish) {
-  std::future<uint64_t> published;
-  auto new_index = MakeIndex(13);
-  {
-    QueryEngine engine(MakeIndex(14), nullptr, Synchronous());
-    published = engine.PublishAsync(
-        [new_index]() -> std::shared_ptr<const EmbeddingIndex> {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          return new_index;
-        });
-  }  // Destructor must wait for the loader, not race it.
-  EXPECT_EQ(published.get(), 2u);
 }
 
 // The hot-swap contract under concurrency: publishers swap snapshots while

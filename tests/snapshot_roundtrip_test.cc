@@ -322,18 +322,16 @@ TEST(SnapshotRoundtripTest, ConcurrentQueriesDuringMmapHotSwap) {
     engine.Publish(loaded.index);
     // `loaded` drops its mapping ref here; in-flight batches keep it alive.
   }
-  // And the async path: loads run on PublishAsync loader threads.
+  // And from loader threads, as a serve session's reload does.
   std::vector<std::future<uint64_t>> swaps;
   for (int swap = 0; swap < 5; ++swap) {
-    swaps.push_back(engine.PublishAsync(
-        [&path]() -> std::shared_ptr<const EmbeddingIndex> {
-          LoadedSnapshot loaded;
-          if (!LoadServingSnapshot(path, IndexPrecision::kFloat32, &loaded)
-                   .ok()) {
-            return nullptr;
-          }
-          return loaded.index;
-        }));
+    swaps.push_back(std::async(std::launch::async, [&engine, &path]() -> uint64_t {
+      LoadedSnapshot loaded;
+      if (!LoadServingSnapshot(path, IndexPrecision::kFloat32, &loaded).ok()) {
+        return 0;
+      }
+      return engine.Publish(loaded.index);
+    }));
   }
   for (auto& f : swaps) EXPECT_NE(f.get(), 0u);
   stop.store(true);

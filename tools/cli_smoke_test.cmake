@@ -130,3 +130,22 @@ list(LENGTH ok_lines ok_count)
 if(NOT ok_count EQUAL 3)
   message(FATAL_ERROR "expected 3 ok serve responses, got ${ok_count}")
 endif()
+# Serve flags out of range are refused with exit 1 and the flag named, before
+# any index is loaded: a negative cache capacity would wrap to an unbounded
+# LRU, a negative --k would fail every query that omits "k".
+function(expect_serve_usage_error flag)
+  execute_process(COMMAND ${SARN_CLI} serve --embeddings ${WORK_DIR}/emb.csv ${ARGN}
+                  INPUT_FILE ${WORK_DIR}/queries.ndjson
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "serve ${ARGN}: expected exit 1, got ${code}\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "${flag}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "serve ${ARGN}: message does not name ${flag}: ${err}")
+  endif()
+endfunction()
+expect_serve_usage_error(--cache-capacity --cache-capacity -1)
+expect_serve_usage_error(--batch-window-ms --batch-window-ms -3)
+expect_serve_usage_error(--batch-window-ms --batch-window-ms nan)
+expect_serve_usage_error(--k --k -2)

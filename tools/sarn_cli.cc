@@ -10,7 +10,9 @@
 //                 [--task property|spd|traj|all]
 //   sarn serve    --embeddings embeddings.csv | --snapshot model.sarnsnap
 //                 [--network network.csv]
-//                 (newline-delimited JSON queries on stdin, see src/serve/)
+//                 (newline-delimited JSON queries on stdin, one reply line
+//                 each on stdout in input order; serve/session.h runs the
+//                 session, serve/protocol.h has the wire format)
 //   sarn snapshot save --embeddings embeddings.csv | --checkpoint model.ckpt
 //                      --out model.sarnsnap
 //   sarn snapshot load --in model.sarnsnap
@@ -26,10 +28,8 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -57,8 +57,8 @@
 #include "roadnet/io.h"
 #include "roadnet/osm_import.h"
 #include "roadnet/synthetic_city.h"
-#include "serve/protocol.h"
 #include "serve/query_engine.h"
+#include "serve/session.h"
 #include "snapshot/snapshot.h"
 #include "tasks/embedding_source.h"
 #include "tensor/simd/simd.h"
@@ -76,15 +76,6 @@ int Fail(const std::string& message) {
   std::fprintf(stderr, "sarn: %s\n", message.c_str());
   return 1;
 }
-
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Binary snapshot files are recognised by extension on the reload path so
-/// one "reload" op serves both formats.
-constexpr char kSnapshotExtension[] = ".sarnsnap";
 
 std::optional<tasks::IndexMetric> ParseMetric(const std::string& name) {
   if (name == "cosine") return tasks::IndexMetric::kCosine;
@@ -709,13 +700,6 @@ int CmdSnapshotLoad(const SnapshotLoadArgs& args) {
   return 0;
 }
 
-// The serve loop: newline-delimited JSON requests on stdin, one response
-// line per request on stdout (stderr carries human-readable status), in
-// input order. Query lines are admitted asynchronously so the engine can
-// micro-batch them; "stats" acts as a barrier. "reload" is asynchronous:
-// the new index is parsed (CSV) or mmap-validated (.sarnsnap) on a
-// background thread and hot-swapped in, so in-flight and subsequent queries
-// never wait on a load.
 /// Background Prometheus exporter for `sarn serve --prom-file`: atomically
 /// rewrites the file (tmp + rename) from a registry snapshot every interval,
 /// and once more on shutdown so the final state is always published.
@@ -769,9 +753,12 @@ struct ServeArgs {
   std::string snapshot;
   std::string network;
   std::string metric = "cosine";
-  // threads / batch-size / batch-window-ms / cache-capacity targets. The CLI
-  // default (2 workers) intentionally differs from the library default (1).
+  // threads / batch-size / batch-window-ms targets. The CLI default (2
+  // workers) intentionally differs from the library default (1).
   serve::ServeOptions options = {.threads = 2};
+  // Signed, so a negative value is refused rather than wrapped to size_t.
+  int64_t cache_capacity =
+      static_cast<int64_t>(serve::ServeOptions{}.cache_capacity);
   int64_t k = 10;
   bool quantized = false;
   int64_t trace_sample = 16;
@@ -795,7 +782,7 @@ struct ServeArgs {
              "flush a micro-batch at this many requests")
         .Double("batch-window-ms", &options.batch_window_ms,
                 "flush when the oldest waits this long")
-        .Int("cache-capacity", &options.cache_capacity,
+        .Int("cache-capacity", &cache_capacity,
              "LRU result-cache entries (0 = off)")
         .Bool("quantized", &quantized,
               "serve an int8 quantized index (~4x smaller, recall@10 >= 0.99)")
@@ -813,76 +800,55 @@ struct ServeArgs {
   }
 };
 
+// The NDJSON session itself (request parsing, reply order, reload) is
+// serve::RunSession; this sets it up over stdin/stdout.
 int CmdServe(const ServeArgs& args) {
   const std::string& embeddings_path = args.embeddings;
   const std::string& snapshot_path = args.snapshot;
   if (embeddings_path.empty() == snapshot_path.empty()) {
     return Fail("serve: pass exactly one of --embeddings or --snapshot");
   }
+  if (!snapshot_path.empty() && !snapshot_path.ends_with(".sarnsnap")) {
+    return Fail("serve: --snapshot must name a .sarnsnap file");
+  }
   const std::string& metric_name = args.metric;
   auto parsed_metric = ParseMetric(metric_name);
   if (!parsed_metric.has_value()) {
     return Fail("serve: --metric must be cosine or l1");
   }
-  const tasks::IndexMetric metric = *parsed_metric;
-  const tasks::IndexPrecision precision = args.quantized
-                                              ? tasks::IndexPrecision::kInt8
-                                              : tasks::IndexPrecision::kFloat32;
-
-  std::shared_ptr<const tasks::EmbeddingIndex> index;
-  std::shared_ptr<const geo::SpatialIndex> locator;
-  if (!snapshot_path.empty()) {
-    // Cold start straight off the mapped file: the scan payload is adopted
-    // zero-copy, so startup cost is validation + page faults, not parsing.
-    snapshot::LoadedSnapshot loaded;
-    snapshot::SnapshotStatus status =
-        snapshot::LoadServingSnapshot(snapshot_path, precision, &loaded);
-    if (!status.ok()) {
-      return Fail(std::string("serve: [") +
-                  snapshot::SnapshotErrorName(status.error) + "] " +
-                  status.message);
-    }
-    if (loaded.meta.metric != metric) {
-      return Fail("serve: snapshot was built for metric " +
-                  std::string(loaded.meta.metric == tasks::IndexMetric::kCosine
-                                  ? "cosine"
-                                  : "l1") +
-                  ", not --metric " + metric_name);
-    }
-    index = loaded.index;
-    locator = loaded.locator;
-    std::fprintf(stderr,
-                 "serve: snapshot %s mapped in %.2fms (%zu bytes, %zu zero-copy)\n",
-                 snapshot_path.c_str(), loaded.load_ms,
-                 loaded.mapping->file_bytes(), loaded.mapped_bytes);
-  } else {
-    auto embeddings = LoadEmbeddingsCsv(embeddings_path);
-    if (!embeddings.has_value()) {
-      return Fail("serve: cannot load " + embeddings_path);
-    }
-    index =
-        std::make_shared<tasks::EmbeddingIndex>(*embeddings, metric, precision);
-  }
-
-  const std::string& network_path = args.network;
-  if (!network_path.empty()) {
-    auto network = roadnet::LoadRoadNetworkCsv(network_path);
-    if (!network.has_value()) return Fail("serve: cannot load " + network_path);
-    if (network->num_segments() != index->size()) {
-      return Fail("serve: embeddings row count != segment count");
-    }
-    locator = BuildLocator(*network);
-  }
-
   serve::ServeOptions options = args.options;
   if (options.threads < 0 || options.max_batch <= 0) {
     return Fail("serve: --threads must be >= 0 and --batch-size >= 1");
   }
+  if (!std::isfinite(options.batch_window_ms) || options.batch_window_ms < 0.0) {
+    return Fail("serve: --batch-window-ms must be a finite number >= 0");
+  }
+  if (args.cache_capacity < 0) return Fail("serve: --cache-capacity must be >= 0");
+  if (args.k < 0) return Fail("serve: --k must be >= 0");
   if (args.trace_sample < 0) {
     return Fail("serve: --trace-sample must be >= 0 (0 disables tracing)");
   }
+  options.cache_capacity = static_cast<size_t>(args.cache_capacity);
   options.trace_sample_every = static_cast<uint32_t>(args.trace_sample);
-  const int default_k = static_cast<int>(args.k);
+
+  serve::SessionOptions session;
+  session.default_k = static_cast<int>(args.k);
+  session.metric = *parsed_metric;
+  session.precision = args.quantized ? tasks::IndexPrecision::kInt8
+                                     : tasks::IndexPrecision::kFloat32;
+  const std::string& path = snapshot_path.empty() ? embeddings_path : snapshot_path;
+  serve::IndexFile loaded = serve::LoadIndexFile(path, session.metric, session.precision);
+  if (loaded.index == nullptr) return Fail("serve: " + loaded.error);
+  const tasks::EmbeddingIndex& index = *loaded.index;
+  session.dim = index.dim();
+  if (!args.network.empty()) {
+    auto network = roadnet::LoadRoadNetworkCsv(args.network);
+    if (!network.has_value()) return Fail("serve: cannot load " + args.network);
+    if (network->num_segments() != index.size()) {
+      return Fail("serve: embeddings row count != segment count");
+    }
+    loaded.locator = BuildLocator(*network);
+  }
 
   // SLO burn events go to the JSONL metrics stream when one is configured.
   std::unique_ptr<obs::JsonlMetricsSink> metrics_sink;
@@ -911,139 +877,21 @@ int CmdServe(const ServeArgs& args) {
         std::make_unique<PeriodicPromWriter>(args.prom_file, args.prom_interval_ms);
   }
 
-  serve::QueryEngine engine(index, locator, options);
   std::fprintf(stderr,
-               "serve: %lld rows x %lld dims (%s, %s, %zu bytes, %s kernels), "
+               "serve: %s: %lld rows x %lld dims (%s, %s, %zu bytes, %s kernels), "
                "%d threads, batch %d/%.1fms, cache %zu — reading NDJSON from stdin\n",
-               static_cast<long long>(index->size()),
-               static_cast<long long>(index->dim()), metric_name.c_str(),
-               tasks::PrecisionName(index->precision()), index->index_bytes(),
+               path.c_str(), static_cast<long long>(index.size()),
+               static_cast<long long>(index.dim()), metric_name.c_str(),
+               tasks::PrecisionName(index.precision()), index.index_bytes(),
                tensor::simd::TierName(tensor::simd::ActiveTier()),
                options.threads, options.max_batch, options.batch_window_ms,
                options.cache_capacity);
-
-  struct Outstanding {
-    uint64_t seq = 0;
-    std::future<serve::ServeResponse> future;   // Query in flight.
-    std::future<uint64_t> reload_future;        // Reload in flight.
-    std::shared_ptr<std::string> reload_error;  // Set by the loader thread.
-    std::string line;                           // Final when neither future is valid.
-  };
-  std::deque<Outstanding> outstanding;
-  auto emit = [](const std::string& line) {
-    std::fputs(line.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  };
-  auto ready = [](const auto& future) {
-    return future.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  };
-  // Prints responses whose turn has come; `block` waits for all of them
-  // (barrier before stats and at EOF).
-  auto drain = [&](bool block) {
-    while (!outstanding.empty()) {
-      Outstanding& front = outstanding.front();
-      if (front.future.valid()) {
-        if (!block && !ready(front.future)) return;
-        front.line = serve::FormatResponseLine(front.seq, front.future.get());
-      } else if (front.reload_future.valid()) {
-        if (!block && !ready(front.reload_future)) return;
-        const uint64_t epoch = front.reload_future.get();
-        front.line = serve::FormatReloadLine(front.seq, epoch != 0, epoch,
-                                             *front.reload_error);
-        if (epoch != 0) {
-          std::fprintf(stderr, "serve: published snapshot epoch %llu\n",
-                       static_cast<unsigned long long>(epoch));
-        }
-      }
-      emit(front.line);
-      outstanding.pop_front();
-    }
-  };
-
-  std::string line;
-  uint64_t seq = 0;
-  while (std::getline(std::cin, line)) {
-    if (Trim(line).empty()) continue;
-    const uint64_t this_seq = seq++;
-    serve::ParsedLine parsed = serve::ParseRequestLine(line, default_k);
-    switch (parsed.op) {
-      case serve::ParsedLine::Op::kQuery: {
-        Outstanding entry;
-        entry.seq = this_seq;
-        entry.future = engine.Submit(std::move(parsed.request));
-        outstanding.push_back(std::move(entry));
-        break;
-      }
-      case serve::ParsedLine::Op::kStats:
-        drain(/*block=*/true);
-        emit(serve::FormatStatsLine(this_seq, engine.Stats()));
-        break;
-      case serve::ParsedLine::Op::kStatsz:
-        drain(/*block=*/true);
-        emit(serve::FormatStatszLine(this_seq, engine.TraceStats()));
-        break;
-      case serve::ParsedLine::Op::kReload: {
-        // No barrier: the load (CSV parse or snapshot mmap + validation)
-        // runs on a PublishAsync loader thread while workers keep serving
-        // the old epoch; the response line is emitted in sequence order
-        // once the swap (or failure) lands.
-        const std::string path = parsed.reload_path;
-        auto error = std::make_shared<std::string>();
-        const int64_t expected_dim = index->dim();
-        auto loader = [path, metric, precision, expected_dim,
-                       error]() -> std::shared_ptr<const tasks::EmbeddingIndex> {
-          if (EndsWith(path, kSnapshotExtension)) {
-            snapshot::LoadedSnapshot loaded;
-            snapshot::SnapshotStatus status =
-                snapshot::LoadServingSnapshot(path, precision, &loaded);
-            if (!status.ok()) {
-              *error = std::string("[") +
-                       snapshot::SnapshotErrorName(status.error) + "] " +
-                       status.message;
-              return nullptr;
-            }
-            if (loaded.meta.metric != metric) {
-              *error = "snapshot metric does not match the serving metric";
-              return nullptr;
-            }
-            if (loaded.meta.d != expected_dim) {
-              *error = "dim mismatch: expected " + std::to_string(expected_dim);
-              return nullptr;
-            }
-            return loaded.index;
-          }
-          auto reloaded = LoadEmbeddingsCsv(path);
-          if (!reloaded.has_value()) {
-            *error = "cannot load " + path;
-            return nullptr;
-          }
-          if (reloaded->shape()[1] != expected_dim) {
-            *error = "dim mismatch: expected " + std::to_string(expected_dim);
-            return nullptr;
-          }
-          return std::make_shared<tasks::EmbeddingIndex>(*reloaded, metric,
-                                                         precision);
-        };
-        Outstanding entry;
-        entry.seq = this_seq;
-        entry.reload_future = engine.PublishAsync(std::move(loader));
-        entry.reload_error = std::move(error);
-        outstanding.push_back(std::move(entry));
-        break;
-      }
-      case serve::ParsedLine::Op::kInvalid: {
-        Outstanding entry;
-        entry.seq = this_seq;
-        entry.line = serve::FormatErrorLine(this_seq, parsed.error);
-        outstanding.push_back(std::move(entry));
-        break;
-      }
-    }
-    drain(/*block=*/false);
-  }
-  drain(/*block=*/true);
+  // The engine holds the only reference, so a reload can retire the index.
+  serve::QueryEngine engine(std::move(loaded.index), loaded.locator, options);
+  // Replies are the only stdout traffic: unsynced streams read and write it
+  // in blocks rather than through stdio a character at a time.
+  std::ios::sync_with_stdio(false);
+  serve::RunSession(std::cin, std::cout, engine, session);
   serve::ServeStats stats = engine.Stats();
   std::fprintf(stderr,
                "serve: %llu requests (%llu errors), %llu batches, cache %llu/%llu "

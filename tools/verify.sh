@@ -11,8 +11,10 @@
 #      telemetry smoke run of the CLI: 2 training epochs with
 #      --metrics-file/--trace-file, then check-json on both artifacts;
 #   4. the query-serving suite (ctest -L serve: batch index equivalence,
-#      engine hot-swap, NDJSON protocol, CLI flags) plus a serve smoke: three
-#      NDJSON queries and a statsz introspection line piped through
+#      engine hot-swap, NDJSON protocol, the serve session's reply order,
+#      flushing, stats barrier and reload errors, CLI flags) plus a serve
+#      smoke: NDJSON queries, stats, statsz and two reloads (one good, one
+#      of a missing file) piped through
 #      `sarn serve` (with --prom-file exposition written and grepped, the
 #      index block/tail query counters included), output
 #      validated with check-json, run once at float32 and once with
@@ -36,7 +38,8 @@
 #      scalar fallback configuration stays green on its own;
 #   6. the concurrency-sensitive tests (parallel runtime, matmul kernels,
 #      GAT grad-path fusion, buffer-pool acquire/release, metrics registry, the
-#      mutex-guarded request-trace ring, serve engine hot-swap, SIMD kernels) plus
+#      mutex-guarded request-trace ring, serve engine hot-swap, the serve
+#      session's reader/writer threads, SIMD kernels) plus
 #      the checkpoint suite rebuilt under ThreadSanitizer, so a pool
 #      regression, a race in resumed training, a race on a telemetry
 #      instrument, a torn trace record, or a torn snapshot swap shows up as a
@@ -138,16 +141,29 @@ if [[ "$mode" != "--tsan-only" ]]; then
     '{"vector":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"k":2}' \
     '{"op":"stats"}' \
     '{"op":"statsz"}' \
+    "{\"op\":\"reload\",\"embeddings\":\"$serve_dir/emb.csv\"}" \
+    "{\"op\":\"reload\",\"embeddings\":\"$serve_dir/missing.csv\"}" \
     > "$serve_dir/queries.ndjson"
   build/tools/sarn serve --embeddings "$serve_dir/emb.csv" --threads 2 \
     --trace-sample 1 --prom-file "$serve_dir/metrics.prom" \
     < "$serve_dir/queries.ndjson" > "$serve_dir/responses.ndjson"
   build/tools/sarn check-json --in "$serve_dir/responses.ndjson" --lines true
-  ok_count="$(grep -c '"ok":true' "$serve_dir/responses.ndjson")"
-  if [[ "$ok_count" != 4 ]]; then
-    echo "verify: expected 4 ok serve responses, got $ok_count" >&2
-    exit 1
-  fi
+  # Four ok replies and two reloads: the good one publishes epoch 2, the
+  # missing file is a typed ok:false and changes nothing.
+  check_serve_replies() {
+    local ok_count
+    ok_count="$(grep -c '"ok":true' "$1")"
+    if [[ "$ok_count" != 5 ]]; then
+      echo "verify: expected 5 ok serve responses in $1, got $ok_count" >&2
+      exit 1
+    fi
+    if ! grep -q '^{"seq":4,"ok":true,"epoch":2}$' "$1" ||
+       ! grep -q '^{"seq":5,"ok":false,"error":"\[file_not_found\] ' "$1"; then
+      echo "verify: serve reload replies missing or wrong in $1" >&2
+      exit 1
+    fi
+  }
+  check_serve_replies "$serve_dir/responses.ndjson"
   # statsz must attribute the traced latency to the five named stages and the
   # stats line must carry the snapshot load telemetry block.
   if ! grep -q '"statsz":{"enabled":true' "$serve_dir/responses.ndjson"; then
@@ -192,11 +208,7 @@ if [[ "$mode" != "--tsan-only" ]]; then
     --quantized true \
     < "$serve_dir/queries.ndjson" > "$serve_dir/responses_q.ndjson"
   build/tools/sarn check-json --in "$serve_dir/responses_q.ndjson" --lines true
-  ok_count="$(grep -c '"ok":true' "$serve_dir/responses_q.ndjson")"
-  if [[ "$ok_count" != 4 ]]; then
-    echo "verify: expected 4 ok quantized serve responses, got $ok_count" >&2
-    exit 1
-  fi
+  check_serve_replies "$serve_dir/responses_q.ndjson"
   if ! grep -q '"precision":"int8"' "$serve_dir/responses_q.ndjson"; then
     echo "verify: quantized serve stats did not report precision int8" >&2
     exit 1
@@ -222,11 +234,7 @@ if [[ "$mode" != "--tsan-only" ]]; then
   build/tools/sarn serve --snapshot "$snap_dir/model.sarnsnap" --threads 2 \
     < "$serve_dir/queries.ndjson" > "$snap_dir/responses.ndjson"
   build/tools/sarn check-json --in "$snap_dir/responses.ndjson" --lines true
-  ok_count="$(grep -c '"ok":true' "$snap_dir/responses.ndjson")"
-  if [[ "$ok_count" != 4 ]]; then
-    echo "verify: expected 4 ok snapshot serve responses, got $ok_count" >&2
-    exit 1
-  fi
+  check_serve_replies "$snap_dir/responses.ndjson"
   # SIMD suite on the default (vectorised) build: bitwise identity between
   # the scalar fallback and the active tier, int8 recall gate.
   (cd build && ctest --output-on-failure -L simd)
@@ -250,11 +258,11 @@ if [[ "$mode" != "--no-tsan" && "$mode" != "--no-asan" ]]; then
   cmake --build build-tsan -j"$jobs" \
     --target parallel_test ops_test nn_gat_test serialization_test \
              sarn_model_test obs_metrics_test obs_trace_test \
-             obs_request_trace_test serve_engine_test \
+             obs_request_trace_test serve_engine_test serve_session_test \
              storage_pool_test simd_kernels_test quantized_index_test \
              snapshot_roundtrip_test encoder_plane_test receptive_field_test
   (cd build-tsan && ctest --output-on-failure \
-    -R '^(parallel_test|ops_test|nn_gat_test|serialization_test|sarn_model_test|obs_metrics_test|obs_trace_test|obs_request_trace_test|serve_engine_test|storage_pool_test|simd_kernels_test|quantized_index_test|snapshot_roundtrip_test|encoder_plane_test|receptive_field_test)$')
+    -R '^(parallel_test|ops_test|nn_gat_test|serialization_test|sarn_model_test|obs_metrics_test|obs_trace_test|obs_request_trace_test|serve_engine_test|serve_session_test|storage_pool_test|simd_kernels_test|quantized_index_test|snapshot_roundtrip_test|encoder_plane_test|receptive_field_test)$')
 fi
 
 if [[ "$mode" != "--tsan-only" && "$mode" != "--no-asan" ]]; then
