@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <optional>
 #include <sstream>
 
 #include "common/check.h"
@@ -8,28 +9,8 @@
 namespace sarn {
 namespace {
 
-const char* TypeName(FlagType type) {
-  switch (type) {
-    case FlagType::kString: return "string";
-    case FlagType::kInt: return "int";
-    case FlagType::kDouble: return "float";
-    case FlagType::kBool: return "bool";
-  }
-  return "?";
-}
-
-bool ValueValid(FlagType type, const std::string& value) {
-  switch (type) {
-    case FlagType::kString:
-      return true;
-    case FlagType::kInt:
-      return ParseInt(value).has_value();
-    case FlagType::kDouble:
-      return ParseDouble(value).has_value();
-    case FlagType::kBool:
-      return value == "true" || value == "false" || value == "1" || value == "0";
-  }
-  return false;
+std::string Expects(const char* type, const std::string& value) {
+  return std::string("expects a ") + type + ", got '" + value + "'";
 }
 
 }  // namespace
@@ -37,128 +18,100 @@ bool ValueValid(FlagType type, const std::string& value) {
 FlagSet::FlagSet(std::string command, std::string summary)
     : command_(std::move(command)), summary_(std::move(summary)) {}
 
-FlagSet& FlagSet::Add(FlagSpec spec) {
-  SARN_CHECK(Find(spec.name) == nullptr) << "duplicate flag --" << spec.name;
-  SARN_CHECK(spec.required || ValueValid(spec.type, spec.default_value))
-      << "flag --" << spec.name << " default '" << spec.default_value
-      << "' is not a valid " << TypeName(spec.type);
-  values_[spec.name] = spec.default_value;
-  specs_.push_back(std::move(spec));
+FlagSet& FlagSet::Add(Flag flag) {
+  SARN_CHECK(Find(flag.name) == nullptr) << "duplicate flag --" << flag.name;
+  flags_.push_back(std::move(flag));
   return *this;
 }
 
-FlagSet& FlagSet::String(const std::string& name, const std::string& default_value,
+FlagSet& FlagSet::String(const std::string& name, std::string* target,
                          const std::string& help, bool required) {
-  return Add({name, FlagType::kString, default_value, help, required});
+  return Add({name, "string", *target, help, required,
+              [target](const std::string& value) {
+                *target = value;
+                return std::string();
+              }});
 }
 
-FlagSet& FlagSet::Int(const std::string& name, int64_t default_value,
-                      const std::string& help) {
-  return Add({name, FlagType::kInt, std::to_string(default_value), help, false});
+FlagSet& FlagSet::BindInt(const std::string& name, int64_t default_value,
+                          const std::string& help, int64_t min, int64_t max,
+                          std::function<void(int64_t)> write) {
+  return Add({name, "int", std::to_string(default_value), help, false,
+              [min, max, write = std::move(write)](const std::string& value) {
+                std::optional<int64_t> parsed = ParseInt(value);
+                if (!parsed.has_value()) return Expects("int", value);
+                if (*parsed < min || *parsed > max) {
+                  return Expects("int", value) + " (out of range [" +
+                         std::to_string(min) + ", " + std::to_string(max) + "])";
+                }
+                write(*parsed);
+                return std::string();
+              }});
 }
 
-FlagSet& FlagSet::Double(const std::string& name, double default_value,
+FlagSet& FlagSet::Double(const std::string& name, double* target,
                          const std::string& help) {
   std::ostringstream text;
-  text << default_value;
-  return Add({name, FlagType::kDouble, text.str(), help, false});
+  text << *target;
+  return Add({name, "float", text.str(), help, false,
+              [target](const std::string& value) {
+                std::optional<double> parsed = ParseDouble(value);
+                if (!parsed.has_value()) return Expects("float", value);
+                *target = *parsed;
+                return std::string();
+              }});
 }
 
-FlagSet& FlagSet::Bool(const std::string& name, bool default_value,
-                       const std::string& help) {
-  return Add({name, FlagType::kBool, default_value ? "true" : "false", help, false});
+FlagSet& FlagSet::Bool(const std::string& name, bool* target, const std::string& help) {
+  return Add({name, "bool", *target ? "true" : "false", help, false,
+              [target](const std::string& value) {
+                if (value == "true" || value == "1") {
+                  *target = true;
+                } else if (value == "false" || value == "0") {
+                  *target = false;
+                } else {
+                  return Expects("bool", value);
+                }
+                return std::string();
+              }});
 }
 
 bool FlagSet::Parse(int argc, char** argv, int first, std::string* error) {
+  auto fail = [error](std::string message) {
+    if (error != nullptr) *error = std::move(message);
+    return false;
+  };
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       help_requested_ = true;
       return true;
     }
-    if (!StartsWith(arg, "--")) {
-      if (error != nullptr) *error = "expected --flag, got '" + arg + "'";
-      return false;
-    }
+    if (!StartsWith(arg, "--")) return fail("expected --flag, got '" + arg + "'");
     std::string name = arg.substr(2);
-    const FlagSpec* spec = Find(name);
-    if (spec == nullptr) {
-      if (error != nullptr) {
-        *error = "unknown flag --" + name + " for '" + command_ +
-                 "' (try: sarn " + command_ + " --help)";
-      }
-      return false;
+    Flag* flag = Find(name);
+    if (flag == nullptr) {
+      return fail("unknown flag --" + name + " for '" + command_ + "' (try: sarn " +
+                  command_ + " --help)");
     }
-    if (i + 1 >= argc) {
-      if (error != nullptr) *error = "flag --" + name + " needs a value";
-      return false;
-    }
-    std::string value = argv[++i];
-    if (!ValueValid(spec->type, value)) {
-      if (error != nullptr) {
-        *error = "flag --" + name + " expects a " + TypeName(spec->type) + ", got '" +
-                 value + "'";
-      }
-      return false;
-    }
-    values_[name] = value;
-    explicitly_set_[name] = true;
+    if (i + 1 >= argc) return fail("flag --" + name + " needs a value");
+    std::string problem = flag->set(argv[++i]);
+    if (!problem.empty()) return fail("flag --" + name + " " + problem);
+    flag->seen = true;
   }
-  for (const FlagSpec& spec : specs_) {
-    if (spec.required && !provided(spec.name)) {
-      if (error != nullptr) *error = command_ + ": --" + spec.name + " is required";
-      return false;
+  for (const Flag& flag : flags_) {
+    if (flag.required && !flag.seen) {
+      return fail(command_ + ": --" + flag.name + " is required");
     }
   }
   return true;
 }
 
-bool FlagSet::provided(const std::string& name) const {
-  auto it = explicitly_set_.find(name);
-  return it != explicitly_set_.end() && it->second;
-}
-
-const FlagSpec* FlagSet::Find(const std::string& name) const {
-  for (const FlagSpec& spec : specs_) {
-    if (spec.name == name) return &spec;
+FlagSet::Flag* FlagSet::Find(const std::string& name) {
+  for (Flag& flag : flags_) {
+    if (flag.name == name) return &flag;
   }
   return nullptr;
-}
-
-const FlagSpec& FlagSet::Expect(const std::string& name, FlagType type) const {
-  const FlagSpec* spec = Find(name);
-  SARN_CHECK(spec != nullptr) << "undeclared flag --" << name;
-  SARN_CHECK(spec->type == type)
-      << "flag --" << name << " is a " << TypeName(spec->type) << ", read as "
-      << TypeName(type);
-  return *spec;
-}
-
-std::string FlagSet::GetString(const std::string& name) const {
-  Expect(name, FlagType::kString);
-  return values_.at(name);
-}
-
-int64_t FlagSet::GetInt(const std::string& name) const {
-  Expect(name, FlagType::kInt);
-  const std::string& value = values_.at(name);
-  auto parsed = ParseInt(value);
-  SARN_CHECK(parsed.has_value()) << "--" << name << " '" << value << "'";
-  return *parsed;
-}
-
-double FlagSet::GetDouble(const std::string& name) const {
-  Expect(name, FlagType::kDouble);
-  const std::string& value = values_.at(name);
-  auto parsed = ParseDouble(value);
-  SARN_CHECK(parsed.has_value()) << "--" << name << " '" << value << "'";
-  return *parsed;
-}
-
-bool FlagSet::GetBool(const std::string& name) const {
-  Expect(name, FlagType::kBool);
-  const std::string& value = values_.at(name);
-  return value == "true" || value == "1";
 }
 
 std::string FlagSet::Usage() const {
@@ -167,16 +120,16 @@ std::string FlagSet::Usage() const {
   if (!summary_.empty()) out << "  " << summary_ << "\n";
   // Required flags first, in declaration order.
   for (int pass = 0; pass < 2; ++pass) {
-    for (const FlagSpec& spec : specs_) {
-      if (spec.required != (pass == 0)) continue;
-      out << "  --" << spec.name << " <" << TypeName(spec.type) << ">";
-      if (spec.required) {
+    for (const Flag& flag : flags_) {
+      if (flag.required != (pass == 0)) continue;
+      out << "  --" << flag.name << " <" << flag.type << ">";
+      if (flag.required) {
         out << "  (required)";
       } else {
-        out << "  (default: " << (spec.default_value.empty() ? "\"\"" : spec.default_value)
+        out << "  (default: " << (flag.default_text.empty() ? "\"\"" : flag.default_text)
             << ")";
       }
-      out << "\n      " << spec.help << "\n";
+      out << "\n      " << flag.help << "\n";
     }
   }
   return out.str();

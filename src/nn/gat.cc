@@ -87,12 +87,13 @@ Tensor GatLayer::Forward(const Tensor& x, const LayerGraph& graph) const {
   Tensor wx_all = num_heads_ == 1 ? tensor::MatMul(x, weight_[0])
                                   : tensor::MatMul(x, tensor::Concat(weight_, 1));
 
-  // The per-edge gather/scale/scatter chain always runs fused. With grad
-  // recording off (serving, momentum-encoder passes) the inference kernels
-  // skip the [E, d] intermediates entirely; with it on, the differentiable
-  // fusions record one tape node per chain. Both apply the float operation
-  // order of the unfused Rows/Add/LeakyRelu and ScaleRows/ScatterAddRows
-  // chain, so values and gradients are bitwise identical to it (ops_test).
+  // The per-edge chains always run fused, in the float operation order of
+  // the unfused Rows/Add/LeakyRelu and ScaleRows/ScatterAddRows chains, so
+  // values and gradients are bitwise identical to them (ops_test). One
+  // FusedEdgeScores serves both modes. The message chain has two kernels:
+  // with grad recording off (serving, momentum-encoder passes) the gather
+  // fuses too and no [E, d] intermediate exists; with it on, Rows(wx, src)
+  // stays its own tape node so wx's gradient contributions keep their order.
   const bool fused_inference = !tensor::GradModeEnabled();
 
   // Footnote-1 ablation: softmax of constant scores = uniform mean over each
@@ -115,16 +116,9 @@ Tensor GatLayer::Forward(const Tensor& x, const LayerGraph& graph) const {
       // contributions in the same order as in the all-rows layer.
       Tensor score_src = tensor::MatMul(wx, att_src_[h]);  // [n_in, 1]
       Tensor score_dst = tensor::MatMul(wx, att_dst_[h]);  // [n_in, 1]
-      if (fused_inference) {
-        alpha = tensor::EdgeSoftmax(
-            tensor::FusedEdgeScores(score_src, score_dst, src, dst_in, leaky_relu_slope_),
-            dst_out, n_out);
-      } else {
-        alpha = tensor::EdgeSoftmax(
-            tensor::FusedEdgeScoreActivate(score_src, score_dst, src, dst_in,
-                                           leaky_relu_slope_),
-            dst_out, n_out);
-      }
+      alpha = tensor::EdgeSoftmax(
+          tensor::FusedEdgeScores(score_src, score_dst, src, dst_in, leaky_relu_slope_),
+          dst_out, n_out);
     } else {
       alpha = uniform_alpha;
     }

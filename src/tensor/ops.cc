@@ -813,25 +813,6 @@ Tensor ScatterAddRows(const Tensor& messages, std::span<const int64_t> dst,
 Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
                        std::span<const int64_t> src, std::span<const int64_t> dst,
                        float negative_slope) {
-  SARN_CHECK(!GradModeEnabled()) << "FusedEdgeScores is inference-only";
-  SARN_CHECK_EQ(src.size(), dst.size());
-  int64_t e_count = static_cast<int64_t>(src.size());
-  const Storage& ss = score_src.data();
-  const Storage& sd = score_dst.data();
-  Storage out = Storage::Uninitialized(static_cast<size_t>(e_count));
-  for (int64_t e = 0; e < e_count; ++e) {
-    // Same operation order as Add(Rows(score_dst, dst), Rows(score_src, src))
-    // followed by LeakyRelu — bitwise identical, no intermediates.
-    float x = sd[static_cast<size_t>(dst[static_cast<size_t>(e)])] +
-              ss[static_cast<size_t>(src[static_cast<size_t>(e)])];
-    out[static_cast<size_t>(e)] = x > 0 ? x : negative_slope * x;
-  }
-  return Tensor::FromStorage({e_count}, std::move(out));
-}
-
-Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
-                              std::span<const int64_t> src,
-                              std::span<const int64_t> dst, float negative_slope) {
   SARN_CHECK_EQ(src.size(), dst.size());
   int64_t e_count = static_cast<int64_t>(src.size());
   const Storage& ss = score_src.data();
@@ -844,6 +825,8 @@ Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
               ss[static_cast<size_t>(src[static_cast<size_t>(e)])];
     out[static_cast<size_t>(e)] = x > 0 ? x : negative_slope * x;
   }
+  // Inference returns before the closure copies src/dst.
+  if (!GradModeEnabled()) return Tensor::FromStorage({e_count}, std::move(out));
   auto ssi = score_src.impl();
   auto sdi = score_dst.impl();
   // Parent order {score_dst, score_src} mirrors Add(rows_dst, rows_src): the

@@ -107,40 +107,31 @@ inline Tensor ScatterAddRows(const Tensor& messages, std::initializer_list<int64
                         num_vertices);
 }
 
-// --- Fused inference-only ops (grad mode must be off) ---------------------------
-// Bitwise-identical fusions of the op chains GAT inference runs per layer;
-// they skip the intermediate [E, ...] tensors entirely. Both SARN_CHECK that
-// gradient recording is disabled: there is no backward.
+// --- Fused GAT ops ---------------------------------------------------------------
+// Bitwise-identical fusions of the op chains a GAT layer runs per head; they
+// skip the [E, ...] intermediates (and their zero-filled grad buffers). Each
+// applies the exact float operation order of the unfused chain, forward and
+// backward; the unfused op chains remain as test oracles (ops_test).
 
-/// LeakyRelu(score_dst[dst[e]] + score_src[src[e]]) -> [E]. Fuses
-/// Reshape(LeakyRelu(Add(Rows(score_dst, dst), Rows(score_src, src))), {E}).
+/// LeakyRelu(score_dst[dst[e]] + score_src[src[e]]) -> [E]. Fuses the
+/// five-node Reshape(LeakyRelu(Add(Rows(score_dst, dst), Rows(score_src,
+/// src))), {E}) chain into one tape node (grad mode on), or into no tape node
+/// and no index copies (grad mode off). The backward recomputes the
+/// pre-activation (bitwise, from the saved inputs) and scatter-adds in
+/// ascending edge order, exactly like the unfused closures.
 Tensor FusedEdgeScores(const Tensor& score_src, const Tensor& score_dst,
                        std::span<const int64_t> src, std::span<const int64_t> dst,
                        float negative_slope = 0.2f);
 
 /// out[dst[e]] += wx[src[e]] * alpha[e] -> [num_vertices, d]. Fuses
 /// ScatterAddRows(ScaleRows(Rows(wx, src), alpha), dst, num_vertices).
+/// Inference only (grad mode must be off; SARN_CHECKed): there is no
+/// backward. The grad path runs ScaleScatterRows(Rows(wx, src), ...) below
+/// instead: a fused gather would add wx's message gradient before the
+/// score GEMMs' dA, which changes wx's float accumulation order.
 Tensor FusedGatherScaleScatter(const Tensor& wx, std::span<const int64_t> src,
                                std::span<const int64_t> dst, const Tensor& alpha,
                                int64_t num_vertices);
-
-// --- Fused differentiable ops (grad-path fusion) --------------------------------
-// Grad-mode counterparts of the inference fusions above: each collapses an
-// adjacent elementwise/gather/scatter chain into ONE tape node whose forward
-// and backward apply the exact float operation order of the unfused chain —
-// values and gradients stay bitwise identical; only the [E, ...]
-// intermediates (and their zero-filled grad buffers) disappear. GatLayer's
-// grad path always uses them; the unfused op chains remain as test oracles.
-
-/// Differentiable FusedEdgeScores: LeakyRelu(score_dst[dst[e]] +
-/// score_src[src[e]]) -> [E], one tape node replacing the five-node
-/// Reshape(LeakyRelu(Add(Rows(score_dst, dst), Rows(score_src, src)))) chain.
-/// The backward recomputes the pre-activation (bitwise, from the saved
-/// inputs) and scatter-adds in ascending edge order, exactly like the
-/// unfused closures.
-Tensor FusedEdgeScoreActivate(const Tensor& score_src, const Tensor& score_dst,
-                              std::span<const int64_t> src, std::span<const int64_t> dst,
-                              float negative_slope = 0.2f);
 
 /// Differentiable ScaleRows+ScatterAddRows: out[dst[e]] += rows[e] * scale[e]
 /// -> [num_vertices, d], one tape node replacing the messages [E, d]

@@ -6,22 +6,14 @@
 
 namespace sarn::tensor {
 
-Optimizer::Optimizer(std::vector<Tensor> parameters, float learning_rate)
-    : parameters_(std::move(parameters)), learning_rate_(learning_rate) {
-  for (const Tensor& p : parameters_) {
-    SARN_CHECK(p.defined() && p.requires_grad())
-        << "optimizer parameters must be defined and require grad";
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (Tensor& p : parameters_) p.ZeroGrad();
-}
-
 namespace {
 
-// Shared helper for the per-parameter buffer lists (Sgd velocity, Adam
-// moments): written as a count followed by one float vector per parameter.
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
+// Per-parameter moment buffers are written as a count followed by one float
+// vector per parameter.
 void WriteBuffers(ByteWriter& out, const std::vector<std::vector<float>>& buffers) {
   out.PutU64(buffers.size());
   for (const std::vector<float>& b : buffers) out.PutFloats(b);
@@ -44,74 +36,24 @@ bool ReadBuffers(ByteReader& in, const std::vector<Tensor>& parameters,
 
 }  // namespace
 
-void Optimizer::SaveState(ByteWriter& out) const { out.PutF32(learning_rate_); }
-
-bool Optimizer::LoadState(ByteReader& in) {
-  float lr = 0.0f;
-  if (!in.GetF32(&lr)) return false;
-  learning_rate_ = lr;
-  return true;
-}
-
-Sgd::Sgd(std::vector<Tensor> parameters, float learning_rate, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(parameters), learning_rate),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  velocity_.resize(parameters_.size());
-  for (size_t i = 0; i < parameters_.size(); ++i) {
-    velocity_[i].assign(parameters_[i].data().size(), 0.0f);
-  }
-}
-
-void Sgd::SaveState(ByteWriter& out) const {
-  Optimizer::SaveState(out);
-  WriteBuffers(out, velocity_);
-}
-
-bool Sgd::LoadState(ByteReader& in) {
-  float lr = 0.0f;
-  if (!in.GetF32(&lr)) return false;
-  std::vector<std::vector<float>> velocity;
-  if (!ReadBuffers(in, parameters_, &velocity)) return false;
-  learning_rate_ = lr;
-  velocity_ = std::move(velocity);
-  return true;
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < parameters_.size(); ++i) {
-    Storage& data = parameters_[i].mutable_data();
-    const Storage& grad = parameters_[i].grad();
-    std::vector<float>& vel = velocity_[i];
-    for (size_t j = 0; j < data.size(); ++j) {
-      float g = grad[j] + weight_decay_ * data[j];
-      if (momentum_ != 0.0f) {
-        vel[j] = momentum_ * vel[j] + g;
-        g = vel[j];
-      }
-      data[j] -= learning_rate_ * g;
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> parameters, float learning_rate, float beta1, float beta2,
-           float epsilon, float weight_decay)
-    : Optimizer(std::move(parameters), learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
+Adam::Adam(std::vector<Tensor> parameters, float learning_rate)
+    : parameters_(std::move(parameters)), learning_rate_(learning_rate) {
   m_.resize(parameters_.size());
   v_.resize(parameters_.size());
   for (size_t i = 0; i < parameters_.size(); ++i) {
+    SARN_CHECK(parameters_[i].defined() && parameters_[i].requires_grad())
+        << "optimizer parameters must be defined and require grad";
     m_[i].assign(parameters_[i].data().size(), 0.0f);
     v_[i].assign(parameters_[i].data().size(), 0.0f);
   }
 }
 
+void Adam::ZeroGrad() {
+  for (Tensor& p : parameters_) p.ZeroGrad();
+}
+
 void Adam::SaveState(ByteWriter& out) const {
-  Optimizer::SaveState(out);
+  out.PutF32(learning_rate_);
   out.PutI64(step_);
   WriteBuffers(out, m_);
   WriteBuffers(out, v_);
@@ -134,26 +76,26 @@ bool Adam::LoadState(ByteReader& in) {
 
 void Adam::Step() {
   ++step_;
-  float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
-  float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
+  float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(step_));
+  float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(step_));
   for (size_t i = 0; i < parameters_.size(); ++i) {
     Storage& data = parameters_[i].mutable_data();
     const Storage& grad = parameters_[i].grad();
     std::vector<float>& m = m_[i];
     std::vector<float>& v = v_[i];
     for (size_t j = 0; j < data.size(); ++j) {
-      float g = grad[j] + weight_decay_ * data[j];
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g * g;
+      float g = grad[j];
+      m[j] = kBeta1 * m[j] + (1.0f - kBeta1) * g;
+      v[j] = kBeta2 * v[j] + (1.0f - kBeta2) * g * g;
       float m_hat = m[j] / bias1;
       float v_hat = v[j] / bias2;
-      data[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+      data[j] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + kEpsilon);
     }
   }
 }
 
-CosineAnnealingSchedule::CosineAnnealingSchedule(float lr_max, int max_epochs, float lr_min)
-    : lr_max_(lr_max), lr_min_(lr_min), max_epochs_(max_epochs) {
+CosineAnnealingSchedule::CosineAnnealingSchedule(float lr_max, int max_epochs)
+    : lr_max_(lr_max), max_epochs_(max_epochs) {
   SARN_CHECK_GT(max_epochs, 0);
 }
 
@@ -175,8 +117,7 @@ float CosineAnnealingSchedule::LearningRateAt(int epoch) const {
   if (epoch < 0) epoch = 0;
   if (epoch > max_epochs_) epoch = max_epochs_;
   double phase = static_cast<double>(epoch) / max_epochs_;
-  return lr_min_ +
-         (lr_max_ - lr_min_) * 0.5f * static_cast<float>(1.0 + std::cos(geo::kPi * phase));
+  return lr_max_ * 0.5f * static_cast<float>(1.0 + std::cos(geo::kPi * phase));
 }
 
 }  // namespace sarn::tensor

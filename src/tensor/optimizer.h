@@ -1,7 +1,7 @@
 // Gradient-descent optimizers over Tensor parameters.
 //
 // The SARN trainer uses Adam with a cosine-annealed learning rate (paper
-// §5.1); SGD is provided for baselines and tests.
+// §5.1).
 
 #ifndef SARN_TENSOR_OPTIMIZER_H_
 #define SARN_TENSOR_OPTIMIZER_H_
@@ -13,91 +13,58 @@
 
 namespace sarn::tensor {
 
-/// Interface shared by optimizers. Parameters are registered once; Step()
-/// applies one update from the accumulated gradients; ZeroGrad() clears them.
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction and the paper's constants
+/// (beta1 0.9, beta2 0.999, epsilon 1e-8, no weight decay). Parameters are
+/// registered once; Step() applies one update from the accumulated
+/// gradients; ZeroGrad() clears them.
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> parameters, float learning_rate);
 
   /// Applies one update using each parameter's current grad buffer.
-  virtual void Step() = 0;
+  void Step();
 
-  /// Serialises the optimizer's internal state (learning rate plus whatever
-  /// the subclass accumulates — momentum buffers, Adam moments, step count)
-  /// so a restored optimizer produces a bitwise-identical next Step().
-  /// Parameter *values* are not included; checkpoint those separately.
-  virtual void SaveState(ByteWriter& out) const;
+  /// Zeroes the grad buffers of all registered parameters.
+  void ZeroGrad();
+
+  /// Serialises the learning rate, step count and both moment buffers
+  /// (lr f32, step i64, m, v) so a restored optimizer produces a
+  /// bitwise-identical next Step(). Parameter *values* are not included;
+  /// checkpoint those separately.
+  void SaveState(ByteWriter& out) const;
 
   /// Restores state written by SaveState for the same parameter list.
   /// Returns false — leaving this optimizer untouched — on truncation or a
   /// parameter-count/size mismatch.
-  virtual bool LoadState(ByteReader& in);
-
-  /// Zeroes the grad buffers of all registered parameters.
-  void ZeroGrad();
+  bool LoadState(ByteReader& in);
 
   /// Overrides the learning rate (used by LR schedules).
   void set_learning_rate(float lr) { learning_rate_ = lr; }
   float learning_rate() const { return learning_rate_; }
 
-  const std::vector<Tensor>& parameters() const { return parameters_; }
-
- protected:
-  Optimizer(std::vector<Tensor> parameters, float learning_rate);
-
-  std::vector<Tensor> parameters_;
-  float learning_rate_;
-};
-
-/// Vanilla SGD with optional momentum and L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> parameters, float learning_rate, float momentum = 0.0f,
-      float weight_decay = 0.0f);
-
-  void Step() override;
-  void SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
-
- private:
-  float momentum_;
-  float weight_decay_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction and optional L2 weight decay.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> parameters, float learning_rate, float beta1 = 0.9f,
-       float beta2 = 0.999f, float epsilon = 1e-8f, float weight_decay = 0.0f);
-
-  void Step() override;
-  void SaveState(ByteWriter& out) const override;
-  bool LoadState(ByteReader& in) override;
-
   int64_t step_count() const { return step_; }
 
+  const std::vector<Tensor>& parameters() const { return parameters_; }
+
  private:
-  float beta1_;
-  float beta2_;
-  float epsilon_;
-  float weight_decay_;
+  std::vector<Tensor> parameters_;
+  float learning_rate_;
   int64_t step_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
 };
 
-/// Cosine-annealing learning-rate schedule: lr(t) = lr_min +
-/// (lr_max - lr_min) * (1 + cos(pi * t / t_max)) / 2. Call OnEpoch(optimizer,
-/// epoch) at the start of each epoch.
+/// Cosine-annealing learning-rate schedule down to zero: lr(t) = lr_max *
+/// (1 + cos(pi * t / t_max)) / 2. Call OnEpoch(optimizer, epoch) at the start
+/// of each epoch.
 class CosineAnnealingSchedule {
  public:
-  CosineAnnealingSchedule(float lr_max, int max_epochs, float lr_min = 0.0f);
+  CosineAnnealingSchedule(float lr_max, int max_epochs);
 
   /// Learning rate for the given epoch (clamped to [0, max_epochs]).
   float LearningRateAt(int epoch) const;
 
-  void OnEpoch(Optimizer& optimizer, int epoch) {
+  void OnEpoch(Adam& optimizer, int epoch) {
     last_epoch_ = epoch;
     optimizer.set_learning_rate(LearningRateAt(epoch));
   }
@@ -112,7 +79,6 @@ class CosineAnnealingSchedule {
 
  private:
   float lr_max_;
-  float lr_min_;
   int max_epochs_;
   int last_epoch_ = -1;
 };

@@ -136,9 +136,9 @@ internal::StorageBlock* BufferPool::Acquire(size_t bytes) {
 
 void BufferPool::Release(internal::StorageBlock* block) {
   SARN_DCHECK(block != nullptr);
-  if (block->refs.fetch_sub(1, std::memory_order_release) != 1) return;
-  // Last reference: synchronise with all prior releases before recycling.
-  std::atomic_thread_fence(std::memory_order_acquire);
+  // acq_rel: the last reference synchronises with every prior release
+  // before the block is recycled (no standalone fence, which TSan cannot see).
+  if (block->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
 
   if (block->size_class == kOversizeClass) {
     live_bytes_.fetch_sub(static_cast<int64_t>(block->oversize_bytes),

@@ -479,7 +479,7 @@ const std::vector<int64_t> kOracleSrc = {0, 1, 1, 2, 4, 0, 1, 4};
 const std::vector<int64_t> kOracleDst = {1, 2, 2, 0, 0, 4, 4, 1};
 constexpr int64_t kOracleVertices = 5;
 
-TEST(OpsTest, FusedEdgeScoreActivateMatchesUnfusedChainBitwise) {
+TEST(OpsTest, FusedEdgeScoresMatchesUnfusedChainBitwise) {
   const int64_t e_count = static_cast<int64_t>(kOracleSrc.size());
   Rng rng(17);
   Tensor src_init = Tensor::Randn({kOracleVertices, 1}, rng);
@@ -493,7 +493,7 @@ TEST(OpsTest, FusedEdgeScoreActivateMatchesUnfusedChainBitwise) {
     Tensor score_src = src_init.Detach().RequiresGrad();
     Tensor score_dst = dst_init.Detach().RequiresGrad();
     Tensor out =
-        fused ? FusedEdgeScoreActivate(score_src, score_dst, kOracleSrc, kOracleDst, 0.2f)
+        fused ? FusedEdgeScores(score_src, score_dst, kOracleSrc, kOracleDst, 0.2f)
               : Reshape(LeakyRelu(Add(Rows(score_dst, kOracleDst),
                                       Rows(score_src, kOracleSrc)),
                                   0.2f),
@@ -508,6 +508,24 @@ TEST(OpsTest, FusedEdgeScoreActivateMatchesUnfusedChainBitwise) {
   ExpectBitwiseEqual(fused.out, oracle.out, "scores");
   ExpectBitwiseEqual(fused.d_src, oracle.d_src, "d score_src");
   ExpectBitwiseEqual(fused.d_dst, oracle.d_dst, "d score_dst");
+}
+
+TEST(OpsTest, FusedEdgeScoresWithoutGradModeAllocatesOnlyItsOutput) {
+  Rng rng(17);
+  Tensor score_src = Tensor::Randn({kOracleVertices, 1}, rng).RequiresGrad();
+  Tensor score_dst = Tensor::Randn({kOracleVertices, 1}, rng).RequiresGrad();
+  const std::vector<float> taped = ToVector(
+      FusedEdgeScores(score_src, score_dst, kOracleSrc, kOracleDst, 0.2f).data());
+  NoGradGuard no_grad;
+  const PoolStats before = GetPoolStats();
+  Tensor out = FusedEdgeScores(score_src, score_dst, kOracleSrc, kOracleDst, 0.2f);
+  const PoolStats after = GetPoolStats();
+  EXPECT_FALSE(out.requires_grad());
+  // Two acquires, the [E] scores and the tensor node; no index copies for a
+  // backward.
+  EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses), 2u);
+  EXPECT_EQ(after.tape_nodes, before.tape_nodes);
+  ExpectBitwiseEqual(ToVector(out.data()), taped, "scores");
 }
 
 TEST(OpsTest, ScaleScatterRowsMatchesUnfusedChainBitwise) {

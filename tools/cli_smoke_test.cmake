@@ -87,6 +87,9 @@ expect_train_usage_error(--epochs --epochs -3 --dim 16)
 expect_train_usage_error(--dim --epochs 1 --dim 0)
 expect_train_usage_error(--dim --epochs 1 --dim 0 --encoder rfn)
 expect_train_usage_error(--dim --epochs 1 --dim 3)
+# An int flag refuses a value its field cannot hold: 2^32 + 40 would wrap to
+# 40 epochs.
+expect_train_usage_error(--epochs --epochs 4294967336 --dim 16)
 file(WRITE ${WORK_DIR}/not_a_dir "")
 file(MAKE_DIRECTORY ${WORK_DIR}/a_dir)
 expect_train_usage_error(--checkpoint-dir --epochs 1 --dim 16
@@ -149,3 +152,19 @@ expect_serve_usage_error(--cache-capacity --cache-capacity -1)
 expect_serve_usage_error(--batch-window-ms --batch-window-ms -3)
 expect_serve_usage_error(--batch-window-ms --batch-window-ms nan)
 expect_serve_usage_error(--k --k -2)
+# 2^32 + 1 would wrap to a default k of 1.
+expect_serve_usage_error(--k --k 4294967297)
+# The generated usage shows each flag's type and the default the code uses.
+function(expect_help command needle)
+  execute_process(COMMAND ${SARN_CLI} ${command} --help
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "${command} --help: expected exit 0, got ${code}\n${err}")
+  endif()
+  string(FIND "${out}" "${needle}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${command} --help does not print '${needle}':\n${out}")
+  endif()
+endfunction()
+expect_help(train "--epochs <int>  (default: 40)")
+expect_help(serve "--batch-window-ms <float>  (default: 1)")

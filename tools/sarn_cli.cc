@@ -18,7 +18,7 @@
 //   sarn snapshot load --in model.sarnsnap
 //   sarn import-osm --in extract.osm --out network.csv
 //
-// Every command declares its flags in a FlagSet (common/flags.h):
+// Every command binds its flags in a FlagSet (common/flags.h):
 // `sarn <command> --help` prints the generated usage. Networks are stored
 // in the roadnet CSV format; embeddings as a headerless CSV of n rows x d
 // columns.
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "common/csv.h"
-#include "common/flag_binding.h"
 #include "common/flags.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -126,11 +125,11 @@ struct VariantArgs {
   std::string augmentation;
   std::string negatives;
 
-  FlagBindings& Bind(FlagBindings& b) {
+  void Bind(FlagSet& flags) {
     const core::VariantRegistry& registry = core::VariantRegistry::Instance();
-    b.String("encoder", &encoder,
-             "graph encoder variant: " + JoinNames(registry.EncoderNames()) +
-                 " (default gat)")
+    flags.String("encoder", &encoder,
+                 "graph encoder variant: " + JoinNames(registry.EncoderNames()) +
+                     " (default gat)")
         .String("augmentation", &augmentation,
                 "graph-view augmentation variant: " +
                     JoinNames(registry.AugmentationNames()) +
@@ -138,7 +137,6 @@ struct VariantArgs {
         .String("negatives", &negatives,
                 "negative-sampling/loss variant: " +
                     JoinNames(registry.SamplerNames()) + " (default spatial)");
-    return b;
   }
 
   /// Writes the non-empty names into `config`; returns an error string for
@@ -178,19 +176,16 @@ struct VariantArgs {
 };
 
 // Each command owns one Args struct: the fields are the flag targets, and
-// Bindings() is the single place a flag's name, default and help live
-// (declared into the FlagSet and applied back by the registry harness).
+// Bind() is the single place a flag's name, default and help live.
 
 struct GenerateArgs {
   std::string city = "CD";
   double scale = 0.05;
   std::string out;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("city", &city, "city template: CD, BJ or SF")
+  void Bind(FlagSet& flags) {
+    flags.String("city", &city, "city template: CD, BJ or SF")
         .Double("scale", &scale, "fraction of the full city to generate")
         .String("out", &out, "output network CSV", /*required=*/true);
-    return b;
   }
 };
 
@@ -208,28 +203,24 @@ int CmdGenerate(const GenerateArgs& args) {
 struct ImportOsmArgs {
   std::string in;
   std::string out;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("in", &in, "OSM XML file", /*required=*/true)
+  void Bind(FlagSet& flags) {
+    flags.String("in", &in, "OSM XML file", /*required=*/true)
         .String("out", &out, "output network CSV", /*required=*/true);
-    return b;
   }
 };
 
 int CmdImportOsm(const ImportOsmArgs& args) {
-  const std::string& in = args.in;
-  const std::string& out = args.out;
   roadnet::OsmImportStats stats;
-  auto network = roadnet::LoadOsmFile(in, &stats);
-  if (!network.has_value()) return Fail("import-osm: cannot parse " + in);
-  if (!roadnet::SaveRoadNetworkCsv(*network, out)) {
-    return Fail("import-osm: cannot write " + out);
+  auto network = roadnet::LoadOsmFile(args.in, &stats);
+  if (!network.has_value()) return Fail("import-osm: cannot parse " + args.in);
+  if (!roadnet::SaveRoadNetworkCsv(*network, args.out)) {
+    return Fail("import-osm: cannot write " + args.out);
   }
   std::printf("imported %lld nodes, kept %lld/%lld ways, %lld segments -> %s\n",
               static_cast<long long>(stats.nodes_parsed),
               static_cast<long long>(stats.ways_kept),
               static_cast<long long>(stats.ways_parsed),
-              static_cast<long long>(stats.segments_created), out.c_str());
+              static_cast<long long>(stats.segments_created), args.out.c_str());
   return 0;
 }
 
@@ -244,15 +235,14 @@ struct TrainArgs {
   VariantArgs variant;         // --encoder / --augmentation / --negatives.
   std::string metrics_file;
   std::string trace_file;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("network", &network, "network CSV", /*required=*/true)
+  void Bind(FlagSet& flags) {
+    flags.String("network", &network, "network CSV", /*required=*/true)
         .Int("epochs", &epochs, "training epochs")
         .Int("dim", &dim, "embedding dimension")
         .Int("seed", &seed, "RNG seed");
-    variant.Bind(b)
-        .String("weights", &weights,
-                "write model weights here (read by snapshot save --checkpoint)")
+    variant.Bind(flags);
+    flags.String("weights", &weights,
+                 "write model weights here (read by snapshot save --checkpoint)")
         .String("embeddings", &embeddings, "write embeddings CSV here")
         .String("checkpoint-dir", &options.checkpoint_dir,
                 "rolling checkpoint directory")
@@ -263,7 +253,6 @@ struct TrainArgs {
              "stop once this many total epochs are done")
         .String("metrics-file", &metrics_file, "append one JSON line per epoch here")
         .String("trace-file", &trace_file, "write a Chrome trace of training phases");
-    return b;
   }
 };
 
@@ -317,14 +306,12 @@ int CmdTrain(const TrainArgs& args) {
   core::TrainOptions options = args.options;
 
   std::unique_ptr<obs::JsonlMetricsSink> sink;
-  const std::string& metrics_file = args.metrics_file;
-  if (!metrics_file.empty()) {
-    sink = std::make_unique<obs::JsonlMetricsSink>(metrics_file);
-    if (!sink->ok()) return Fail("train: cannot open " + metrics_file);
+  if (!args.metrics_file.empty()) {
+    sink = std::make_unique<obs::JsonlMetricsSink>(args.metrics_file);
+    if (!sink->ok()) return Fail("train: cannot open " + args.metrics_file);
     options.metrics_sink = sink.get();
   }
-  const std::string& trace_file = args.trace_file;
-  if (!trace_file.empty()) obs::Tracer::Instance().SetEnabled(true);
+  if (!args.trace_file.empty()) obs::Tracer::Instance().SetEnabled(true);
 
   core::SarnModel model(*network, config);
   std::printf("training SARN on %lld segments (d=%lld, epochs=%d, %s)...\n",
@@ -332,27 +319,27 @@ int CmdTrain(const TrainArgs& args) {
               static_cast<long long>(dim), config.max_epochs,
               core::VariantTagString(model.variant_tag()).c_str());
   core::TrainStats stats = model.Train(options);
-  if (!trace_file.empty()) {
+  if (!args.trace_file.empty()) {
     std::vector<obs::TraceEvent> events = obs::Tracer::Instance().Drain();
     obs::Tracer::Instance().SetEnabled(false);
     // A resumed run merges its spans into the prior lifetime's trace so one
     // file shows the whole (killed + resumed) training timeline; a fresh run
     // starts the file over.
     const bool merged = stats.resumed_from_epoch > 0
-                            ? obs::Tracer::AppendChromeTrace(trace_file, events)
-                            : obs::Tracer::WriteChromeTrace(trace_file, events);
+                            ? obs::Tracer::AppendChromeTrace(args.trace_file, events)
+                            : obs::Tracer::WriteChromeTrace(args.trace_file, events);
     if (!merged) {
-      return Fail("train: cannot write " + trace_file);
+      return Fail("train: cannot write " + args.trace_file);
     }
     std::printf("trace -> %s (%zu events; load in chrome://tracing)\n",
-                trace_file.c_str(), events.size());
+                args.trace_file.c_str(), events.size());
     for (const auto& phase : obs::Tracer::Aggregate(events)) {
       std::printf("  %-24s %8llu spans  %8.3fs\n", phase.name.c_str(),
                   static_cast<unsigned long long>(phase.count), phase.seconds);
     }
   }
   if (sink != nullptr) {
-    std::printf("metrics -> %s\n", metrics_file.c_str());
+    std::printf("metrics -> %s\n", args.metrics_file.c_str());
   }
   if (stats.aborted) {
     return Fail("train: aborted (" + stats.abort_reason +
@@ -384,12 +371,10 @@ struct ExportArgs {
   std::string network;
   std::string embeddings;
   std::string out = "atlas.geojson";
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("network", &network, "network CSV", /*required=*/true)
+  void Bind(FlagSet& flags) {
+    flags.String("network", &network, "network CSV", /*required=*/true)
         .String("embeddings", &embeddings, "embeddings CSV", /*required=*/true)
         .String("out", &out, "output GeoJSON");
-    return b;
   }
 };
 
@@ -401,14 +386,15 @@ int CmdExport(const ExportArgs& args) {
   if (embeddings->shape()[0] != network->num_segments()) {
     return Fail("export: embeddings row count != segment count");
   }
-  const std::string& out = args.out;
   tensor::PcaResult pca = tensor::Pca(*embeddings, 1);
   roadnet::GeoJsonOptions options;
   for (int64_t i = 0; i < network->num_segments(); ++i) {
     options.values.push_back(pca.projections.at(i, 0));
   }
-  if (!ExportGeoJson(*network, out, options)) return Fail("export: cannot write " + out);
-  std::printf("wrote %s (colored by first principal component)\n", out.c_str());
+  if (!ExportGeoJson(*network, args.out, options)) {
+    return Fail("export: cannot write " + args.out);
+  }
+  std::printf("wrote %s (colored by first principal component)\n", args.out.c_str());
   return 0;
 }
 
@@ -416,12 +402,10 @@ struct EvalArgs {
   std::string network;
   std::string embeddings;
   std::string task = "all";
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("network", &network, "network CSV", /*required=*/true)
+  void Bind(FlagSet& flags) {
+    flags.String("network", &network, "network CSV", /*required=*/true)
         .String("embeddings", &embeddings, "embeddings CSV", /*required=*/true)
         .String("task", &task, "property, spd, traj or all");
-    return b;
   }
 };
 
@@ -433,23 +417,22 @@ int CmdEval(const EvalArgs& args) {
   if (embeddings->shape()[0] != network->num_segments()) {
     return Fail("eval: embeddings row count != segment count");
   }
-  const std::string& which = args.task;
   tasks::FrozenEmbeddingSource source(*embeddings);
 
-  if (which == "property" || which == "all") {
+  if (args.task == "property" || args.task == "all") {
     tasks::RoadPropertyTask task(*network, {});
     tasks::RoadPropertyResult r = task.Evaluate(source);
     std::printf("road property:   F1 %.2f%%  AUC %.2f%%  (%lld labeled, %lld classes)\n",
                 100.0 * r.f1, 100.0 * r.auc, static_cast<long long>(r.num_labeled),
                 static_cast<long long>(r.num_classes));
   }
-  if (which == "spd" || which == "all") {
+  if (args.task == "spd" || args.task == "all") {
     tasks::SpdTask task(*network, {});
     tasks::SpdResult r = task.Evaluate(source);
     std::printf("shortest path:   MRE %.2f%%  MAE %.0f m  (%lld pairs)\n", 100.0 * r.mre,
                 r.mae_meters, static_cast<long long>(r.num_test_pairs));
   }
-  if (which == "traj" || which == "all") {
+  if (args.task == "traj" || args.task == "all") {
     traj::TrajectoryGeneratorConfig generator_config;
     generator_config.min_route_segments = 8;
     traj::TrajectoryGenerator generator(*network, generator_config);
@@ -472,28 +455,24 @@ int CmdEval(const EvalArgs& args) {
 struct CheckJsonArgs {
   std::string in;
   bool lines = false;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("in", &in, "file to validate", /*required=*/true)
+  void Bind(FlagSet& flags) {
+    flags.String("in", &in, "file to validate", /*required=*/true)
         .Bool("lines", &lines, "validate as JSON lines instead of one document");
-    return b;
   }
 };
 
 int CmdCheckJson(const CheckJsonArgs& args) {
-  const std::string& in = args.in;
-  std::ifstream file(in, std::ios::binary);
-  if (!file.is_open()) return Fail("check-json: cannot open " + in);
+  std::ifstream file(args.in, std::ios::binary);
+  if (!file.is_open()) return Fail("check-json: cannot open " + args.in);
   std::ostringstream buffer;
   buffer << file.rdbuf();
   std::string text = buffer.str();
-  bool lines = args.lines;
   std::string error;
-  bool valid = lines ? obs::JsonLinesValid(text, &error)
-                     : obs::JsonValid(text, &error);
-  if (!valid) return Fail("check-json: " + in + ": " + error);
-  std::printf("%s: valid %s (%zu bytes)\n", in.c_str(),
-              lines ? "JSON lines" : "JSON", text.size());
+  bool valid = args.lines ? obs::JsonLinesValid(text, &error)
+                          : obs::JsonValid(text, &error);
+  if (!valid) return Fail("check-json: " + args.in + ": " + error);
+  std::printf("%s: valid %s (%zu bytes)\n", args.in.c_str(),
+              args.lines ? "JSON lines" : "JSON", text.size());
   return 0;
 }
 
@@ -530,9 +509,8 @@ struct SnapshotSaveArgs {
   std::string metric = "cosine";
   std::string precision = "both";
   bool include_model = true;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("out", &out, "output snapshot file (.sarnsnap)", /*required=*/true)
+  void Bind(FlagSet& flags) {
+    flags.String("out", &out, "output snapshot file (.sarnsnap)", /*required=*/true)
         .String("embeddings", &embeddings, "embeddings CSV to snapshot")
         .String("checkpoint", &checkpoint,
                 "weights file (train --weights) or training checkpoint to "
@@ -541,17 +519,15 @@ struct SnapshotSaveArgs {
                 "network CSV; embeds the serve locator (required with "
                 "--checkpoint)")
         .Int("dim", &dim, "embedding dimension (--checkpoint only)");
-    variant.Bind(b)
-        .String("metric", &metric, "similarity metric: cosine or l1")
+    variant.Bind(flags);
+    flags.String("metric", &metric, "similarity metric: cosine or l1")
         .String("precision", &precision, "index payloads: float32, int8 or both")
         .Bool("include-model", &include_model,
               "embed the raw [n, d] embedding matrix alongside the index");
-    return b;
   }
 };
 
 int CmdSnapshotSave(const SnapshotSaveArgs& args) {
-  const std::string& out = args.out;
   auto metric = ParseMetric(args.metric);
   if (!metric.has_value()) {
     return Fail("snapshot save: --metric must be cosine or l1");
@@ -598,9 +574,8 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
     return Fail("snapshot save: embeddings row count != segment count");
   }
 
-  const std::string& precision = args.precision;
-  const bool want_float = precision == "both" || precision == "float32";
-  const bool want_int8 = precision == "both" || precision == "int8";
+  const bool want_float = args.precision == "both" || args.precision == "float32";
+  const bool want_int8 = args.precision == "both" || args.precision == "int8";
   if (!want_float && !want_int8) {
     return Fail("snapshot save: --precision must be float32, int8 or both");
   }
@@ -627,12 +602,12 @@ int CmdSnapshotSave(const SnapshotSaveArgs& args) {
     contents.locator_cell_side_meters = LocatorCellSideMeters(midpoints);
   }
 
-  snapshot::SnapshotStatus status = snapshot::SaveServingSnapshot(out, contents);
+  snapshot::SnapshotStatus status = snapshot::SaveServingSnapshot(args.out, contents);
   if (!status.ok()) return Fail("snapshot save: " + status.message);
   std::error_code ec;
-  const auto bytes = std::filesystem::file_size(out, ec);
+  const auto bytes = std::filesystem::file_size(args.out, ec);
   std::printf("snapshot -> %s (%lld rows x %lld dims, %s, %s%s%s, %llu bytes)\n",
-              out.c_str(), static_cast<long long>(contents.n),
+              args.out.c_str(), static_cast<long long>(contents.n),
               static_cast<long long>(contents.d),
               args.metric.c_str(),
               want_float ? "float32" : "", want_float && want_int8 ? "+" : "",
@@ -648,20 +623,17 @@ struct SnapshotLoadArgs {
   bool quantized = false;
   bool verify_crc = true;
   int64_t query_id = -1;
-  int64_t k = 10;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("in", &in, "snapshot file to map", /*required=*/true)
+  int k = 10;
+  void Bind(FlagSet& flags) {
+    flags.String("in", &in, "snapshot file to map", /*required=*/true)
         .Bool("quantized", &quantized, "adopt the int8 payload instead of float32")
         .Bool("verify-crc", &verify_crc, "verify section payload CRCs while mapping")
         .Int("query-id", &query_id, "run one top-k query for this row (-1 = off)")
         .Int("k", &k, "neighbors for --query-id");
-    return b;
   }
 };
 
 int CmdSnapshotLoad(const SnapshotLoadArgs& args) {
-  const std::string& in = args.in;
   const tasks::IndexPrecision precision = args.quantized
                                               ? tasks::IndexPrecision::kInt8
                                               : tasks::IndexPrecision::kFloat32;
@@ -669,7 +641,7 @@ int CmdSnapshotLoad(const SnapshotLoadArgs& args) {
   options.verify_payload_crc = args.verify_crc;
   snapshot::LoadedSnapshot loaded;
   snapshot::SnapshotStatus status =
-      snapshot::LoadServingSnapshot(in, precision, &loaded, options);
+      snapshot::LoadServingSnapshot(args.in, precision, &loaded, options);
   if (!status.ok()) {
     return Fail(std::string("snapshot load: [") +
                 snapshot::SnapshotErrorName(status.error) + "] " +
@@ -677,7 +649,7 @@ int CmdSnapshotLoad(const SnapshotLoadArgs& args) {
   }
   std::printf("%s: v%u.%u, %lld rows x %lld dims, %s, %zu bytes "
               "(%zu mapped zero-copy, %zu copied), %.3f ms\n",
-              in.c_str(), loaded.mapping->version_major(),
+              args.in.c_str(), loaded.mapping->version_major(),
               loaded.mapping->version_minor(),
               static_cast<long long>(loaded.meta.n),
               static_cast<long long>(loaded.meta.d),
@@ -688,11 +660,9 @@ int CmdSnapshotLoad(const SnapshotLoadArgs& args) {
     std::printf("  %-20s %10zu bytes\n", std::string(section.name).c_str(),
                 section.bytes);
   }
-  const int64_t query_id = args.query_id;
-  if (query_id >= 0) {
-    const int k = static_cast<int>(args.k);
+  if (args.query_id >= 0) {
     for (const tasks::Neighbor& neighbor :
-         loaded.index->QueryById(query_id, k)) {
+         loaded.index->QueryById(args.query_id, args.k)) {
       std::printf("  neighbor %lld score %.6f\n",
                   static_cast<long long>(neighbor.id), neighbor.score);
     }
@@ -759,17 +729,16 @@ struct ServeArgs {
   // Signed, so a negative value is refused rather than wrapped to size_t.
   int64_t cache_capacity =
       static_cast<int64_t>(serve::ServeOptions{}.cache_capacity);
-  int64_t k = 10;
+  int k = 10;
   bool quantized = false;
-  int64_t trace_sample = 16;
+  int trace_sample = 16;
   std::string prom_file;
   double prom_interval_ms = 1000.0;
   double slo_p99_ms = 0.0;
   double slo_window_s = 10.0;
   std::string metrics_file;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("embeddings", &embeddings, "embeddings CSV to serve")
+  void Bind(FlagSet& flags) {
+    flags.String("embeddings", &embeddings, "embeddings CSV to serve")
         .String("snapshot", &snapshot,
                 "mmap snapshot to serve instead of --embeddings (zero-copy "
                 "cold start)")
@@ -796,23 +765,19 @@ struct ServeArgs {
         .Double("slo-window-s", &slo_window_s, "sliding window for the SLO watchdog")
         .String("metrics-file", &metrics_file,
                 "append SLO burn events as JSON lines here");
-    return b;
   }
 };
 
 // The NDJSON session itself (request parsing, reply order, reload) is
 // serve::RunSession; this sets it up over stdin/stdout.
 int CmdServe(const ServeArgs& args) {
-  const std::string& embeddings_path = args.embeddings;
-  const std::string& snapshot_path = args.snapshot;
-  if (embeddings_path.empty() == snapshot_path.empty()) {
+  if (args.embeddings.empty() == args.snapshot.empty()) {
     return Fail("serve: pass exactly one of --embeddings or --snapshot");
   }
-  if (!snapshot_path.empty() && !snapshot_path.ends_with(".sarnsnap")) {
+  if (!args.snapshot.empty() && !args.snapshot.ends_with(".sarnsnap")) {
     return Fail("serve: --snapshot must name a .sarnsnap file");
   }
-  const std::string& metric_name = args.metric;
-  auto parsed_metric = ParseMetric(metric_name);
+  auto parsed_metric = ParseMetric(args.metric);
   if (!parsed_metric.has_value()) {
     return Fail("serve: --metric must be cosine or l1");
   }
@@ -832,11 +797,11 @@ int CmdServe(const ServeArgs& args) {
   options.trace_sample_every = static_cast<uint32_t>(args.trace_sample);
 
   serve::SessionOptions session;
-  session.default_k = static_cast<int>(args.k);
+  session.default_k = args.k;
   session.metric = *parsed_metric;
   session.precision = args.quantized ? tasks::IndexPrecision::kInt8
                                      : tasks::IndexPrecision::kFloat32;
-  const std::string& path = snapshot_path.empty() ? embeddings_path : snapshot_path;
+  const std::string& path = args.snapshot.empty() ? args.embeddings : args.snapshot;
   serve::IndexFile loaded = serve::LoadIndexFile(path, session.metric, session.precision);
   if (loaded.index == nullptr) return Fail("serve: " + loaded.error);
   const tasks::EmbeddingIndex& index = *loaded.index;
@@ -852,10 +817,9 @@ int CmdServe(const ServeArgs& args) {
 
   // SLO burn events go to the JSONL metrics stream when one is configured.
   std::unique_ptr<obs::JsonlMetricsSink> metrics_sink;
-  const std::string& metrics_file = args.metrics_file;
-  if (!metrics_file.empty()) {
-    metrics_sink = std::make_unique<obs::JsonlMetricsSink>(metrics_file);
-    if (!metrics_sink->ok()) return Fail("serve: cannot open " + metrics_file);
+  if (!args.metrics_file.empty()) {
+    metrics_sink = std::make_unique<obs::JsonlMetricsSink>(args.metrics_file);
+    if (!metrics_sink->ok()) return Fail("serve: cannot open " + args.metrics_file);
   }
   std::unique_ptr<obs::SloWatchdog> watchdog;
   if (args.slo_p99_ms > 0.0) {
@@ -881,7 +845,7 @@ int CmdServe(const ServeArgs& args) {
                "serve: %s: %lld rows x %lld dims (%s, %s, %zu bytes, %s kernels), "
                "%d threads, batch %d/%.1fms, cache %zu — reading NDJSON from stdin\n",
                path.c_str(), static_cast<long long>(index.size()),
-               static_cast<long long>(index.dim()), metric_name.c_str(),
+               static_cast<long long>(index.dim()), args.metric.c_str(),
                tasks::PrecisionName(index.precision()), index.index_bytes(),
                tensor::simd::TierName(tensor::simd::ActiveTier()),
                options.threads, options.max_batch, options.batch_window_ms,
@@ -909,20 +873,17 @@ struct MetricsExportArgs {
   std::string out;
   std::string snapshot;
   bool quantized = false;
-  FlagBindings Bindings() {
-    FlagBindings b;
-    b.String("out", &out, "write here instead of stdout")
+  void Bind(FlagSet& flags) {
+    flags.String("out", &out, "write here instead of stdout")
         .String("snapshot", &snapshot,
                 "load this .sarnsnap first so sarn.snapshot.* metrics are "
                 "populated")
         .Bool("quantized", &quantized, "adopt the int8 payload of --snapshot");
-    return b;
   }
 };
 
 int CmdMetricsExport(const MetricsExportArgs& args) {
-  const std::string& snapshot_path = args.snapshot;
-  if (!snapshot_path.empty()) {
+  if (!args.snapshot.empty()) {
     // Loading populates sarn.snapshot.* (loads, bytes, mapped/copied split),
     // which makes the export meaningful for a fresh process.
     const tasks::IndexPrecision precision = args.quantized
@@ -930,7 +891,7 @@ int CmdMetricsExport(const MetricsExportArgs& args) {
                                                 : tasks::IndexPrecision::kFloat32;
     snapshot::LoadedSnapshot loaded;
     snapshot::SnapshotStatus status =
-        snapshot::LoadServingSnapshot(snapshot_path, precision, &loaded);
+        snapshot::LoadServingSnapshot(args.snapshot, precision, &loaded);
     if (!status.ok()) {
       return Fail(std::string("metrics-export: [") +
                   snapshot::SnapshotErrorName(status.error) + "] " +
@@ -939,39 +900,55 @@ int CmdMetricsExport(const MetricsExportArgs& args) {
   }
   const std::string text =
       obs::PrometheusText(obs::MetricsRegistry::Default().Snapshot());
-  const std::string& out_path = args.out;
-  if (out_path.empty()) {
+  if (args.out.empty()) {
     std::fputs(text.c_str(), stdout);
     return 0;
   }
-  if (!obs::WritePromFile(obs::MetricsRegistry::Default().Snapshot(), out_path)) {
-    return Fail("metrics-export: cannot write " + out_path);
+  if (!obs::WritePromFile(obs::MetricsRegistry::Default().Snapshot(), args.out)) {
+    return Fail("metrics-export: cannot write " + args.out);
   }
-  std::printf("metrics -> %s\n", out_path.c_str());
+  std::printf("metrics -> %s\n", args.out.c_str());
   return 0;
 }
 
 // ---------------------------------------------------------------------------
-// Command registry: one declarative FlagSet per command.
+// Command registry: one FlagSet per command, bound to its Args struct.
 
 struct Command {
   const char* name;
   const char* summary;
-  void (*declare)(FlagSet&);
-  int (*run)(const FlagSet&);
+  int (*main)(FlagSet& flags, int argc, char** argv, int first_flag);
 };
 
-/// Table glue: declare defaults from a default-constructed Args struct, and
-/// run by applying the parsed flags into a fresh one. Every flag's name,
-/// default and help string lives in exactly one place — the Args::Bindings()
-/// of its command.
+// Parses argv into the bound fields plus the global --log-level. Returns the
+// exit code when the command must not run (bad flags, --help), else nullopt.
+std::optional<int> ParseFlags(FlagSet& flags, int argc, char** argv, int first_flag) {
+  std::string log_level;
+  flags.String("log-level", &log_level, "debug, info, warning or error");
+  std::string error;
+  if (!flags.Parse(argc, argv, first_flag, &error)) return Fail(error);
+  if (flags.help_requested()) {
+    std::fputs(flags.Usage().c_str(), stdout);
+    return 0;
+  }
+  if (!log_level.empty()) {
+    std::optional<LogLevel> level = ParseLogLevel(log_level);
+    if (!level.has_value()) return Fail("unknown --log-level " + log_level);
+    SetLogLevel(*level);
+  }
+  return std::nullopt;
+}
+
+/// Table glue: bind one Args (its field initialisers are the defaults the
+/// usage text shows), parse into it and run the command.
 template <typename Args, int (*Run)(const Args&)>
 constexpr Command MakeCommand(const char* name, const char* summary) {
-  return {name, summary,
-          [](FlagSet& f) { Args().Bindings().Declare(f); },
-          [](const FlagSet& f) {
+  return {name, summary, [](FlagSet& flags, int argc, char** argv, int first_flag) {
             Args args;
-            args.Bindings().Apply(f);
+            args.Bind(flags);
+            if (std::optional<int> exit = ParseFlags(flags, argc, argv, first_flag)) {
+              return *exit;
+            }
             return Run(args);
           }};
 }
@@ -1027,21 +1004,7 @@ int Main(int argc, char** argv) {
   for (const Command& command : kCommands) {
     if (name != command.name) continue;
     FlagSet flags(command.name, command.summary);
-    command.declare(flags);
-    flags.String("log-level", "", "debug, info, warning or error");
-    std::string error;
-    if (!flags.Parse(argc, argv, first_flag, &error)) return Fail(error);
-    if (flags.help_requested()) {
-      std::fputs(flags.Usage().c_str(), stdout);
-      return 0;
-    }
-    std::string log_level = flags.GetString("log-level");
-    if (!log_level.empty()) {
-      std::optional<LogLevel> level = ParseLogLevel(log_level);
-      if (!level.has_value()) return Fail("unknown --log-level " + log_level);
-      SetLogLevel(*level);
-    }
-    return command.run(flags);
+    return command.main(flags, argc, argv, first_flag);
   }
   return Usage();
 }
